@@ -59,7 +59,7 @@ class ExperimentConfig:
     d_R: int | None = None
     d_F: int | None = None
     cap: int = DEFAULT_CAP
-    workers: int = 1
+    workers: int = 1  # no effect; kept because config.txt and the hash echo it
     out: str = "out"
     seed: int = 0
     snapshots: bool = False
@@ -69,11 +69,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown system {self.system!r}")
         if self.algorithm not in ("uniform", "adaptive", "compare"):
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
+        if not (np.isfinite(self.eps) and self.eps > 0):
+            raise ConfigError("eps must be positive and finite")
+        if not np.isfinite(self.L):
+            raise ConfigError("L must be finite")
         if self.ladder is not None:
-            if not self.ladder or any(e <= 0 for e in self.ladder):
-                raise ConfigError("ladder entries must be positive")
+            if not self.ladder or not all(
+                np.isfinite(e) and e > 0 for e in self.ladder
+            ):
+                raise ConfigError("ladder entries must be positive and finite")
             if any(
                 self.ladder[i + 1] >= self.ladder[i]
                 for i in range(len(self.ladder) - 1)
@@ -94,10 +98,13 @@ class ExperimentConfig:
 
 
 def build_system(config: ExperimentConfig) -> SystemSpec:
-    if config.system == "exponential":
-        system = make_exponential_system(config.d, config.L)
-    else:
-        system = make_michaelis_menten()
+    try:
+        if config.system == "exponential":
+            system = make_exponential_system(config.d, config.L)
+        else:
+            system = make_michaelis_menten()
+    except ValueError as exc:
+        raise ConfigError(f"cannot build system {config.system!r}: {exc}") from exc
     if config.d_R is not None or config.d_F is not None:
         system = SystemSpec(
             name=system.name,
@@ -253,9 +260,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     trace: RefinementTrace | None = None
 
     if config.algorithm in ("uniform", "compare"):
-        disc, uniform_record = algorithm_uniform(
-            system, config.eps, cap=config.cap, workers=config.workers
-        )
+        disc, uniform_record = algorithm_uniform(system, config.eps, cap=config.cap)
         _write_steps_csv(outdir / "steps_uniform.csv", uniform_record)
         _write_sigma_csv(outdir / "sigma_uniform.csv", uniform_record)
         _write_stepsizes_csv(outdir / "stepsizes_uniform.csv", disc)
@@ -275,9 +280,7 @@ def run_experiment(config: ExperimentConfig) -> int:
                 refine.initial_discretization(system.horizon, L, P), L, P
             )
             ladder = default_ladder(e0, config.eps)
-        disc, adaptive_record, trace = algorithm_adaptive(
-            system, ladder, cap=config.cap, workers=config.workers
-        )
+        disc, adaptive_record, trace = algorithm_adaptive(system, ladder, cap=config.cap)
         _write_steps_csv(outdir / "steps_adaptive.csv", adaptive_record)
         _write_sigma_csv(outdir / "sigma_adaptive.csv", adaptive_record)
         _write_stepsizes_csv(outdir / "stepsizes_adaptive.csv", disc)

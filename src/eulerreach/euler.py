@@ -4,31 +4,22 @@ Step k maps every source point x of the current lattice set through the
 inflated image box x + h * F(x) and projects onto the next lattice; the
 union over all sources is the next reachable set.  The exact per-step
 cost counts projected points per source point (before dedup), which is
-exactly the work the recursion performs.
+exactly the work the recursion performs; the union itself is rastered on
+the bounding grid of the image boxes (see ``union_of_boxes``), so wall
+time follows the size of the set rather than that count.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .discretization import Discretization
-from .errors import ResourceCapError
-from .lattice import (
-    DEFAULT_CAP,
-    LatticeSet,
-    dedupe_points,
-    enumerate_ranges,
-    lattice_range,
-    project_box,
-)
+from .errors import InvariantViolation, ResourceCapError
+from .lattice import DEFAULT_CAP, LatticeSet, lattice_range, project_box, union_of_boxes
 from .systems import SystemSpec
-
-# target number of materialized points per work chunk
-CHUNK_POINTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -66,9 +57,8 @@ def euler_run(
     system: SystemSpec,
     disc: Discretization,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
 ) -> RunRecord:
-    """Run the Euler recursion; deterministic for any worker count."""
+    """Run the Euler recursion (deterministic)."""
     from .refine import error_total
 
     if abs(disc.horizon - system.horizon) > 1e-9 * system.horizon:
@@ -83,7 +73,7 @@ def euler_run(
     for k in range(disc.n):
         h = disc.h[k]
         src = sets[k]
-        nxt, cost = _step(system, src, h, rho[k + 1], cap, workers, step=k + 1)
+        nxt, cost = _step(system, src, h, rho[k + 1], cap, step=k + 1)
         sets.append(nxt)
         cost_exact.append(cost)
         vhat_R.append(nxt.cardinality * rho[k + 1] ** system.d_R)
@@ -112,53 +102,27 @@ def _step(
     h: float,
     rho_next: float,
     cap: int,
-    workers: int,
     step: int,
 ) -> tuple[LatticeSet, int]:
     x = src.state_points()
     f_lo, f_hi = system.rhs_batch(x)
+    ok = np.isfinite(f_lo) & np.isfinite(f_hi) & (f_lo <= f_hi)
+    bad = int(np.count_nonzero(~ok.all(axis=1)))
+    if bad:
+        raise InvariantViolation(
+            f"step {step}: right-hand side returned {bad} non-finite or "
+            "inverted image boxes"
+        )
     lo_idx, hi_idx = lattice_range(x + h * f_lo, x + h * f_hi, rho_next)
-    counts = np.prod(hi_idx - lo_idx + 1, axis=1)
+    sizes = hi_idx - lo_idx + 1
 
-    # guard in float first: counts can overflow int64 in infeasible cells
-    projected = float(np.sum(counts.astype(float)))
+    # guard in float first: the int64 counts can overflow in infeasible cells
+    projected = float(np.prod(sizes.astype(float), axis=1).sum())
     if projected > cap:
         raise ResourceCapError(step=step, projected=projected, cap=cap)
-    cost = int(counts.sum())
+    cost = int(np.prod(sizes, axis=1).sum())
 
-    chunks = _chunk_bounds(counts, CHUNK_POINTS)
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda se: dedupe_points(
-                        enumerate_ranges(lo_idx[se[0] : se[1]], hi_idx[se[0] : se[1]])
-                    ),
-                    chunks,
-                )
-            )
-    else:
-        parts = [
-            dedupe_points(enumerate_ranges(lo_idx[a:b], hi_idx[a:b]))
-            for a, b in chunks
-        ]
-    # per-chunk results are sets; the merged set is order-independent
-    pts = parts[0] if len(parts) == 1 else dedupe_points(np.concatenate(parts))
+    pts = union_of_boxes(lo_idx, hi_idx)
     if pts.shape[0] > cap:
         raise ResourceCapError(step=step, projected=float(pts.shape[0]), cap=cap)
     return LatticeSet(rho_next, pts), cost
-
-
-def _chunk_bounds(counts: np.ndarray, target: int) -> list[tuple[int, int]]:
-    bounds = []
-    start = 0
-    acc = 0
-    for i, c in enumerate(counts):
-        acc += int(c)
-        if acc >= target:
-            bounds.append((start, i + 1))
-            start = i + 1
-            acc = 0
-    if start < counts.shape[0]:
-        bounds.append((start, counts.shape[0]))
-    return bounds

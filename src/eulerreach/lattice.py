@@ -26,6 +26,10 @@ BOUNDARY_GUARD = 1e-12
 # feasible at desk scale and abort with a ResourceCapError
 DEFAULT_CAP = 50_000_000
 
+# largest grid union_of_boxes rasters at once, in cells (32 MiB of int64
+# counters); larger grids are split
+RASTER_BUDGET = 1 << 22
+
 
 def lattice_range(lower: np.ndarray, upper: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
     """Inclusive integer index ranges of the projection of [lower, upper].
@@ -45,73 +49,54 @@ def lattice_range(lower: np.ndarray, upper: np.ndarray, rho: float) -> tuple[np.
     return lo, hi
 
 
-def enumerate_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """All integer points of a batch of index boxes, concatenated.
+def union_of_boxes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Union of a batch of inclusive integer index boxes.
 
-    lo, hi: (N, d) inclusive ranges.  Returns (M, d) with
-    M = sum of the per-box cardinalities; duplicates are kept.
+    lo, hi: (N, d) with hi >= lo.  Returns the covered points as a sorted,
+    unique (M, d) int64 array.  On the bounding grid of the boxes (plus one
+    cell per axis) every box adds +1 or -1 at its 2^d corners; prefix sums
+    along each axis then give the number of boxes covering each cell (the
+    summed-area table of Crow, SIGGRAPH 1984), so the work follows the grid
+    size, not the summed box sizes.  A grid over RASTER_BUDGET cells is
+    split at the midpoint of its first axis spanning more than one index;
+    the axes before it are constant, so the halves concatenate in order.
     """
-    lo = np.atleast_2d(lo)
-    hi = np.atleast_2d(hi)
-    n, d = lo.shape
-    cols: np.ndarray | None = None
-    for axis in range(d):
-        lens = hi[:, axis] - lo[:, axis] + 1
-        total = int(lens.sum())
-        starts = np.repeat(lo[:, axis], lens)
-        offsets = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(lens) - lens, lens
+    lo = np.asarray(lo, dtype=np.int64)
+    hi = np.asarray(hi, dtype=np.int64)
+    d = lo.shape[1]
+    if lo.shape[0] == 0:
+        return np.empty((0, d), dtype=np.int64)
+    base = lo.min(axis=0)
+    spans = hi.max(axis=0) - base + 1
+    wide = np.flatnonzero(spans > 1)
+    if wide.size and float(np.prod((spans + 1).astype(float))) > RASTER_BUDGET:
+        a = wide[0]
+        mid = base[a] + spans[a] // 2  # first index of the upper half
+        left = lo[:, a] < mid
+        right = hi[:, a] >= mid
+        hi_left = hi[left]
+        hi_left[:, a] = np.minimum(hi_left[:, a], mid - 1)
+        lo_right = lo[right]
+        lo_right[:, a] = np.maximum(lo_right[:, a], mid)
+        return np.concatenate(
+            [union_of_boxes(lo[left], hi_left), union_of_boxes(lo_right, hi[right])]
         )
-        newcol = starts + offsets
-        if cols is None:
-            cols = newcol[:, None]
-        else:
-            cols = np.column_stack([np.repeat(cols, lens, axis=0), newcol])
-        if axis + 1 < d:
-            lo = np.repeat(lo, lens, axis=0)
-            hi = np.repeat(hi, lens, axis=0)
-    assert cols is not None
-    return cols
 
-
-def dedupe_points(pts: np.ndarray) -> np.ndarray:
-    """Sorted unique rows of an (M, d) integer array."""
-    if pts.shape[0] == 0:
-        return pts
-    key = _encode(pts)
-    if key is not None:
-        strides, mins = key
-        encoded = (pts - mins) @ strides
-        uniq = np.unique(encoded)
-        return _decode(uniq, strides, mins, pts.shape[1])
-    return np.unique(pts, axis=0)
-
-
-def _encode(pts: np.ndarray):
-    """Row-major integer encoding parameters, or None if it would overflow."""
-    mins = pts.min(axis=0)
-    spans = pts.max(axis=0) - mins + 1
-    total = 1.0
-    for s in spans:
-        total *= float(s)
-    if total >= 2.0**62:
-        return None
-    d = pts.shape[1]
-    strides = np.empty(d, dtype=np.int64)
-    acc = 1
-    for axis in range(d - 1, -1, -1):
-        strides[axis] = acc
-        acc *= int(spans[axis])
-    return strides, mins
-
-
-def _decode(encoded: np.ndarray, strides: np.ndarray, mins: np.ndarray, d: int) -> np.ndarray:
-    out = np.empty((encoded.size, d), dtype=np.int64)
-    rem = encoded
-    for axis in range(d):
-        out[:, axis] = rem // strides[axis] + mins[axis]
-        rem = rem % strides[axis]
-    return out
+    shape = tuple(int(s) + 1 for s in spans)
+    lo0 = lo - base
+    hi1 = hi - base + 1
+    corners: tuple[list, list] = ([], [])  # flat indices of the +1 and -1 corners
+    for mask in range(1 << d):
+        upper = [(mask >> a) & 1 for a in range(d)]
+        coords = tuple(hi1[:, a] if u else lo0[:, a] for a, u in enumerate(upper))
+        corners[sum(upper) & 1].append(np.ravel_multi_index(coords, shape))
+    size = int(np.prod(shape))
+    grid = np.bincount(np.concatenate(corners[0]), minlength=size)
+    grid -= np.bincount(np.concatenate(corners[1]), minlength=size)
+    grid = grid.reshape(shape)
+    for a in range(d):
+        np.cumsum(grid, axis=a, out=grid)
+    return np.argwhere(grid > 0) + base
 
 
 @dataclass(frozen=True)
@@ -146,8 +131,7 @@ class LatticeSet:
     def write_text(self, fh) -> None:
         """Plain-text export: header with rho and d, one index row per point."""
         fh.write(f"# rho={self.resolution!r} d={self.dim} n={self.cardinality}\n")
-        for row in self.points:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        fh.write("".join(" ".join(map(str, row)) + "\n" for row in self.points.tolist()))
 
 
 def _is_sorted_unique(pts: np.ndarray) -> bool:
@@ -172,8 +156,7 @@ def project_box(b: Box, rho: float, cap: int = DEFAULT_CAP) -> LatticeSet:
         count *= float(z - a + 1)
     if count > cap:
         raise ResourceCapError(step=0, projected=count, cap=cap)
-    pts = enumerate_ranges(lo[None, :], hi[None, :])
-    return LatticeSet(rho, pts)
+    return LatticeSet(rho, union_of_boxes(lo[None, :], hi[None, :]))
 
 
 def union_into(target: LatticeSet, addition: LatticeSet) -> tuple[LatticeSet, int]:
@@ -182,7 +165,8 @@ def union_into(target: LatticeSet, addition: LatticeSet) -> tuple[LatticeSet, in
         raise ValueError("resolution mismatch in lattice union")
     if target.dim != addition.dim:
         raise ValueError("dimension mismatch in lattice union")
-    merged = dedupe_points(np.concatenate([target.points, addition.points]))
+    pts = np.concatenate([target.points, addition.points])
+    merged = union_of_boxes(pts, pts)
     return LatticeSet(target.resolution, merged), addition.cardinality
 
 

@@ -275,12 +275,11 @@ def algorithm_uniform(
     system: SystemSpec,
     eps: float,
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
 ) -> tuple[Discretization, RunRecord]:
     """Euler run on the coarsest uniform discretization meeting the tolerance."""
     n = uniform_step_count(system, eps)
     disc = uniform_discretization(system.horizon, n)
-    record = euler_run(system, disc, cap=cap, workers=workers)
+    record = euler_run(system, disc, cap=cap)
     return disc, record
 
 
@@ -333,7 +332,6 @@ def algorithm_adaptive(
     system: SystemSpec,
     ladder: list[float],
     cap: int = DEFAULT_CAP,
-    workers: int = 1,
 ) -> tuple[Discretization, RunRecord, RefinementTrace]:
     """Iterative greedy refinement around repeated Euler runs.
 
@@ -365,7 +363,7 @@ def algorithm_adaptive(
         first_run = m == 0 and ell == 0
         if first_run or (ell >= 1 and err <= ladder[ell - 1]):
             t0 = time.perf_counter()
-            record = euler_run(system, disc, cap=cap, workers=workers)
+            record = euler_run(system, disc, cap=cap)
             reach_time = time.perf_counter() - t0
             cumulative += record.cost_total
             trace.thresholds.append(

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +42,12 @@ class TestConfig:
             {"cap": 10},
             {"d": 0},
             {"workers": 0},
+            {"eps": float("nan")},
+            {"eps": float("inf")},
+            {"L": float("nan")},
+            {"L": float("inf")},
+            {"ladder": [float("inf"), 1.0]},
+            {"ladder": [1.0, float("nan")]},
         ],
     )
     def test_invalid_rejected(self, patch):
@@ -190,6 +199,11 @@ class TestMainExitCodes:
             ["run-uniform", "--eps", "-1", "--out", str(tmp_path / "x")]
         ) == EXIT_CONFIG
 
+    def test_system_construction_error(self, tmp_path):
+        assert main(
+            ["run-uniform", "--L", "-1", "--out", str(tmp_path / "neg")]
+        ) == EXIT_CONFIG
+
     def test_resource_cap(self, tmp_path):
         code = main(
             ["run-uniform", "--d", "2", "--L", "2", "--eps", "0.5",
@@ -236,3 +250,18 @@ class TestSelftest:
     def test_via_main(self, capsys):
         assert main(["selftest", "--seed", "1"]) == EXIT_OK
         assert "PASS" in capsys.readouterr().out
+
+
+def test_import_loads_no_threads_or_scipy():
+    # -S skips site start-up hooks (.pth files), which may load threading
+    # themselves; the path still comes from this interpreter
+    code = (
+        "import sys, eulerreach, eulerreach.benchcli; "
+        "print(sorted({'scipy', 'concurrent.futures', 'threading'} & set(sys.modules)))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"

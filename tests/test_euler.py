@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from eulerreach.discretization import uniform_discretization
-from eulerreach.errors import ResourceCapError
-from eulerreach.euler import _chunk_bounds, euler_run
+from eulerreach.errors import InvariantViolation, ResourceCapError
+from eulerreach.euler import euler_run
 from eulerreach.lattice import lattice_range
 from eulerreach.refine import error_total
 from eulerreach.systems import make_exponential_system, make_michaelis_menten
@@ -96,17 +98,15 @@ class TestEulerRun:
         assert all(c > 0 for c in record.cost_exact)
 
 
-class TestDeterminism:
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_worker_count_irrelevant(self, workers):
-        system = make_exponential_system(2, 1.0)
-        disc = uniform_discretization(1.0, 5)
-        base = euler_run(system, disc, workers=1)
-        other = euler_run(system, disc, workers=workers)
-        assert base.cost_exact == other.cost_exact
-        for a, b in zip(base.sets, other.sets):
-            assert np.array_equal(a.points, b.points)
+def _nan_lower(lo, hi):
+    lo[0, 0] = np.nan
 
+
+def _swapped(lo, hi):
+    lo[0], hi[0] = hi[0].copy(), lo[0].copy()
+
+
+class TestDeterminism:
     def test_repeat_runs_identical(self):
         system = make_michaelis_menten()
         disc = uniform_discretization(1.0, 8)
@@ -117,17 +117,15 @@ class TestDeterminism:
             assert np.array_equal(x.points, y.points)
 
 
-class TestChunking:
-    def test_bounds_cover_everything(self):
-        counts = np.array([3, 5, 2, 8, 1, 1])
-        bounds = _chunk_bounds(counts, 6)
-        assert bounds[0][0] == 0 and bounds[-1][1] == len(counts)
-        for (_, e1), (s2, _) in zip(bounds, bounds[1:]):
-            assert e1 == s2
+@pytest.mark.parametrize("corrupt", [_nan_lower, _swapped])
+def test_bad_rhs_box_rejected(corrupt):
+    base = make_exponential_system(2, 1.0)
 
-    def test_single_chunk(self):
-        assert _chunk_bounds(np.array([1, 1]), 100) == [(0, 2)]
+    def rhs(x):
+        lo, hi = base.rhs_batch(x)
+        corrupt(lo, hi)
+        return lo, hi
 
-    def test_small_target_forced_splits(self):
-        counts = np.array([10, 10, 10])
-        assert _chunk_bounds(counts, 1) == [(0, 1), (1, 2), (2, 3)]
+    system = dataclasses.replace(base, rhs_batch=rhs)
+    with pytest.raises(InvariantViolation, match="step 1: right-hand side returned 1 "):
+        euler_run(system, uniform_discretization(1.0, 4))

@@ -5,17 +5,17 @@ import math
 import numpy as np
 import pytest
 
+from eulerreach import lattice
 from eulerreach.errors import ResourceCapError
 from eulerreach.lattice import (
     LatticeSet,
-    dedupe_points,
-    enumerate_ranges,
     hausdorff_points,
     hausdorff_to_box,
     hausdorff_to_box_two_sided,
     lattice_range,
     project_box,
     union_into,
+    union_of_boxes,
 )
 from eulerreach.systems import Box
 
@@ -57,36 +57,50 @@ class TestLatticeRange:
             lattice_range(np.zeros(1), np.ones(1), 0.0)
 
 
-class TestEnumerateAndDedupe:
-    def test_enumerate_matches_product(self):
-        lo = np.array([[0, -1], [2, 2]], dtype=np.int64)
-        hi = np.array([[1, 1], [2, 3]], dtype=np.int64)
-        got = {tuple(row) for row in enumerate_ranges(lo, hi)}
-        want = set(itertools.product(range(0, 2), range(-1, 2))) | set(
-            itertools.product([2], range(2, 4))
-        )
-        assert got == want
-        # duplicates kept: total count is the sum of box cardinalities
-        assert enumerate_ranges(lo, hi).shape[0] == 6 + 2
+def _union_oracle(lo: np.ndarray, hi: np.ndarray) -> list:
+    """Sorted union of the boxes' integer points, enumerated box by box."""
+    pts = set()
+    for a, z in zip(lo.tolist(), hi.tolist()):
+        pts.update(itertools.product(*[range(p, q + 1) for p, q in zip(a, z)]))
+    return sorted(pts)
 
-    def test_enumerate_single_axis(self):
-        pts = enumerate_ranges(np.array([[-2]]), np.array([[2]]))
-        assert pts.tolist() == [[-2], [-1], [0], [1], [2]]
 
-    def test_dedupe_matches_unique(self):
-        rng = np.random.default_rng(1)
-        pts = rng.integers(-50, 50, size=(500, 3)).astype(np.int64)
-        pts = np.concatenate([pts, pts[:100]])
-        assert np.array_equal(dedupe_points(pts), np.unique(pts, axis=0))
+def _union_cases() -> list:
+    cases = [
+        pytest.param(
+            np.array([[0, -1], [2, 2]]), np.array([[1, 1], [2, 3]]), id="two_boxes"
+        ),
+        pytest.param(np.array([[-2]]), np.array([[2]]), id="single_axis"),
+    ]
+    # unit boxes spanning 2^40 per axis: far too wide for one grid
+    wide = np.array([[2**40, -(2**40)], [0, 0], [2**40, -(2**40)]])
+    cases.append(pytest.param(wide, wide, id="wide_spans"))
+    rng = np.random.default_rng(1)
+    pts = rng.integers(-50, 50, size=(500, 3))
+    pts = np.concatenate([pts, pts[:100]])
+    cases.append(pytest.param(pts, pts, id="repeated_points"))
+    for d in (1, 2, 3):
+        for layout, spread in (("overlapping", 8), ("disjoint", 400)):
+            rng = np.random.default_rng(10 * d + spread)
+            lo = rng.integers(-spread, spread, size=(25, d))
+            hi = lo + rng.integers(0, 5, size=(25, d))
+            cases.append(pytest.param(lo, hi, id=f"{layout}_d{d}"))
+    return cases
 
-    def test_dedupe_wide_spans(self):
-        # spans too wide for integer encoding fall back to row-wise unique
-        pts = np.array([[2**40, -(2**40)], [0, 0], [2**40, -(2**40)]], dtype=np.int64)
-        assert np.array_equal(dedupe_points(pts), np.unique(pts, axis=0))
 
-    def test_dedupe_empty(self):
-        pts = np.empty((0, 2), dtype=np.int64)
-        assert dedupe_points(pts).shape == (0, 2)
+class TestUnionOfBoxes:
+    @pytest.mark.parametrize("budget", [None, 16], ids=["default_budget", "split"])
+    @pytest.mark.parametrize("lo,hi", _union_cases())
+    def test_matches_oracle(self, lo, hi, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(lattice, "RASTER_BUDGET", budget)
+        got = union_of_boxes(lo, hi)
+        assert got.dtype == np.int64
+        assert got.tolist() == [list(p) for p in _union_oracle(lo, hi)]
+
+    def test_empty(self):
+        empty = np.empty((0, 2), dtype=np.int64)
+        assert union_of_boxes(empty, empty).shape == (0, 2)
 
 
 class TestLatticeSet:
@@ -106,6 +120,18 @@ class TestLatticeSet:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "# rho=0.5 d=2 n=2"
         assert lines[1:] == ["1 2", "3 4"]
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_write_text_matches_per_value_formatter(self, d):
+        rng = np.random.default_rng(d)
+        s = LatticeSet(0.125, rng.integers(-1000, 1000, size=(200, d)))
+        buf = io.StringIO()
+        s.write_text(buf)
+        ref = io.StringIO()
+        ref.write(f"# rho={s.resolution!r} d={s.dim} n={s.cardinality}\n")
+        for row in s.points:
+            ref.write(" ".join(str(int(v)) for v in row) + "\n")
+        assert buf.getvalue() == ref.getvalue()
 
     def test_validation(self):
         with pytest.raises(ValueError):
