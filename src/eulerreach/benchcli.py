@@ -18,7 +18,7 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +46,12 @@ EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
 
 MIN_CAP = 1000
+
+# columns of comparison.csv and of sweep.csv, which gathers its rows
+COMPARISON_HEADER = (
+    "config_hash", "system", "d", "L", "eps", "n_uniform", "cost_uniform",
+    "n_adaptive", "cost_adaptive_final", "cost_adaptive_cumulative",
+)
 
 
 @dataclass
@@ -106,18 +112,10 @@ def build_system(config: ExperimentConfig) -> SystemSpec:
     except ValueError as exc:
         raise ConfigError(f"cannot build system {config.system!r}: {exc}") from exc
     if config.d_R is not None or config.d_F is not None:
-        system = SystemSpec(
-            name=system.name,
-            dimension=system.dimension,
-            horizon=system.horizon,
-            lipschitz=system.lipschitz,
-            bound=system.bound,
-            initial_set=system.initial_set,
-            rhs_batch=system.rhs_batch,
+        system = replace(
+            system,
             d_R=config.d_R if config.d_R is not None else system.d_R,
             d_F=config.d_F if config.d_F is not None else system.d_F,
-            domain=system.domain,
-            params=system.params,
         )
     return system
 
@@ -136,11 +134,6 @@ def metric_sigma(record: RunRecord) -> tuple[np.ndarray, np.ndarray]:
     idx = np.minimum(np.arange(n + 1), n - 1)
     sigma_c = cs[idx] / total
     return sigma_e, sigma_c
-
-
-def metric_delta_cost(record: RunRecord, splines: VolumeSplines) -> float:
-    """Relative error of the cost estimator against the measured costs."""
-    return estimator_relative_error(record, splines)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +191,7 @@ def _write_trace_csv(outdir: Path, trace: RefinementTrace) -> None:
             delta_c = (
                 ""
                 if th.planning_splines is None
-                else _fmt(metric_delta_cost(th.record, th.planning_splines))
+                else _fmt(estimator_relative_error(th.record, th.planning_splines))
             )
             w.writerow(
                 [
@@ -303,11 +296,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         assert trace is not None
         with (outdir / "comparison.csv").open("w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(
-                ["config_hash", "system", "d", "L", "eps", "n_uniform",
-                 "cost_uniform", "n_adaptive", "cost_adaptive_final",
-                 "cost_adaptive_cumulative"]
-            )
+            w.writerow(COMPARISON_HEADER)
             w.writerow(
                 [chash, config.system, config.d, _fmt(config.L), _fmt(config.eps),
                  uniform_record.disc.n, uniform_record.cost_total,
@@ -532,11 +521,7 @@ def main(argv: list[str] | None = None) -> int:
             base_out.mkdir(parents=True, exist_ok=True)
             with (base_out / "sweep.csv").open("w", newline="") as fh:
                 w = csv.writer(fh)
-                w.writerow(
-                    ["config_hash", "system", "d", "L", "eps", "n_uniform",
-                     "cost_uniform", "n_adaptive", "cost_adaptive_final",
-                     "cost_adaptive_cumulative"]
-                )
+                w.writerow(COMPARISON_HEADER)
                 w.writerows(rows)
             return EXIT_OK
         raise ConfigError(f"unknown command {args.command!r}")

@@ -22,8 +22,8 @@ from .systems import Box
 # relative inflation applied to index quotients at range boundaries
 BOUNDARY_GUARD = 1e-12
 
-# default per-set cardinality cap; configurations beyond this are not
-# feasible at desk scale and abort with a ResourceCapError
+# default cap on the projected points of one step and on each set's size;
+# configurations beyond it abort with a ResourceCapError
 DEFAULT_CAP = 50_000_000
 
 # largest grid union_of_boxes rasters at once, in cells (32 MiB of int64
@@ -108,8 +108,8 @@ class LatticeSet:
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.int64)
-        if pts.ndim != 2 or pts.shape[0] < 1:
-            raise ValueError("points must be a nonempty (N, d) array")
+        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+            raise ValueError("points must be a nonempty (N, d) array, d >= 1")
         if self.resolution <= 0:
             raise ValueError("resolution must be positive")
         if not _is_sorted_unique(pts):
@@ -131,19 +131,19 @@ class LatticeSet:
     def write_text(self, fh) -> None:
         """Plain-text export: header with rho and d, one index row per point."""
         fh.write(f"# rho={self.resolution!r} d={self.dim} n={self.cardinality}\n")
-        fh.write("".join(" ".join(map(str, row)) + "\n" for row in self.points.tolist()))
+        # one % over Python ints: exact across the int64 range
+        row = "%d " * (self.dim - 1) + "%d\n"
+        fh.write((row * self.cardinality) % tuple(self.points.ravel().tolist()))
 
 
 def _is_sorted_unique(pts: np.ndarray) -> bool:
-    if pts.shape[0] <= 1:
-        return True
-    diff = pts[1:] != pts[:-1]
-    # strictly increasing lexicographically: first differing column positive
-    first = np.argmax(diff, axis=1)
-    rows = np.arange(pts.shape[0] - 1)
-    return bool(np.all(diff.any(axis=1)) and np.all(
-        pts[1:][rows, first] > pts[:-1][rows, first]
-    ))
+    """Rows strictly increasing in lexicographic order (no duplicates)."""
+    a, b = pts[1:], pts[:-1]
+    # from the last column to the first: row > previous row on columns c..d-1
+    res = a[:, -1] > b[:, -1]
+    for c in range(pts.shape[1] - 2, -1, -1):
+        res = (a[:, c] > b[:, c]) | ((a[:, c] == b[:, c]) & res)
+    return bool(res.all())
 
 
 def project_box(b: Box, rho: float, cap: int = DEFAULT_CAP) -> LatticeSet:

@@ -24,6 +24,7 @@ from eulerreach.benchcli import (
 from eulerreach.discretization import uniform_discretization
 from eulerreach.errors import ConfigError, InvariantViolation
 from eulerreach.euler import euler_run
+from eulerreach.refine import algorithm_adaptive
 from eulerreach.systems import make_exponential_system
 
 
@@ -170,6 +171,26 @@ class TestRunExperiment:
         first = snaps[0].read_text().splitlines()
         assert first[0].startswith("# t=")
         assert first[1].startswith("# rho=")
+
+    @pytest.mark.parametrize("system, d", [("exponential", 2), ("michaelis_menten", 1)])
+    def test_snapshot_bytes(self, tmp_path, system, d):
+        """Every snapshot is the t line plus one row of indices per point."""
+        out = tmp_path / "snap"
+        assert main(
+            ["run-adaptive", "--snapshots", "--system", system, "--d", str(d),
+             "--ladder", "0.5,0.25", "--out", str(out)]
+        ) == EXIT_OK
+        config = ExperimentConfig(system=system, d=d)
+        _, record, _ = algorithm_adaptive(build_system(config), [0.5, 0.25])
+        snaps = sorted((out / "snapshots").glob("step_*.txt"))
+        assert len(snaps) == len(record.sets)
+        for path, t, s in zip(snaps, record.disc.t, record.sets):
+            ref = io.StringIO()
+            ref.write(f"# t={format(float(t), '.17g')}\n")
+            ref.write(f"# rho={s.resolution!r} d={s.dim} n={s.cardinality}\n")
+            for row in s.points:
+                ref.write(" ".join(str(int(v)) for v in row) + "\n")
+            assert path.read_text() == ref.getvalue(), path.name
 
     def test_deterministic_artifacts(self, tmp_path):
         out = tmp_path / "repeat"

@@ -121,23 +121,78 @@ class TestLatticeSet:
         assert lines[0] == "# rho=0.5 d=2 n=2"
         assert lines[1:] == ["1 2", "3 4"]
 
-    @pytest.mark.parametrize("d", [1, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     def test_write_text_matches_per_value_formatter(self, d):
         rng = np.random.default_rng(d)
-        s = LatticeSet(0.125, rng.integers(-1000, 1000, size=(200, d)))
-        buf = io.StringIO()
-        s.write_text(buf)
-        ref = io.StringIO()
-        ref.write(f"# rho={s.resolution!r} d={s.dim} n={s.cardinality}\n")
-        for row in s.points:
-            ref.write(" ".join(str(int(v)) for v in row) + "\n")
-        assert buf.getvalue() == ref.getvalue()
+        info = np.iinfo(np.int64)
+        for pts in (
+            rng.integers(-1000, 1000, size=(200, d)),
+            rng.integers(-1000, 1000, size=(1, d)),
+            rng.integers(-(2**40), 2**40 + 1, size=(300, d)),
+            np.array([[-(2**40)] * d, [2**40] * d]),
+            np.array([[info.min] * d, [info.max] * d]),
+        ):
+            s = LatticeSet(0.125, pts)
+            buf = io.StringIO()
+            s.write_text(buf)
+            ref = io.StringIO()
+            ref.write(f"# rho={s.resolution!r} d={s.dim} n={s.cardinality}\n")
+            for row in s.points:
+                ref.write(" ".join(str(int(v)) for v in row) + "\n")
+            assert buf.getvalue() == ref.getvalue()
 
     def test_validation(self):
         with pytest.raises(ValueError):
             LatticeSet(0.5, np.empty((0, 2), dtype=np.int64))
         with pytest.raises(ValueError):
+            LatticeSet(0.5, np.empty((2, 0), dtype=np.int64))
+        with pytest.raises(ValueError):
             LatticeSet(-1.0, np.zeros((1, 2), dtype=np.int64))
+
+
+def _sorted_unique_oracle(pts: np.ndarray) -> bool:
+    rows = list(map(tuple, pts.tolist()))
+    return rows == sorted(set(rows))
+
+
+def _sorted_unique_cases(d: int):
+    """(name, points) inputs for the sorted-and-unique check in dimension d."""
+    rng = np.random.default_rng(10 + d)
+    info = np.iinfo(np.int64)
+    span = 40 if d == 1 else 4  # dense, so rows share prefixes in d > 1
+    base = np.unique(rng.integers(-span, span, size=(60, d)), axis=0)
+    yield "sorted", base
+    yield "one row", base[:1]
+    yield "duplicate row", np.insert(base, 5, base[5], axis=0)
+    swapped = base.copy()
+    swapped[[7, 8]] = swapped[[8, 7]]
+    yield "swapped pair", swapped
+    prefix = np.zeros((3, d), dtype=np.int64)
+    prefix[:, -1] = [5, 2, 1]
+    yield "equal prefix, decreasing last column", prefix
+    yield "equal prefix, increasing last column", prefix[::-1].copy()
+    extremes = np.array(
+        [[info.min] * d, [info.min] * (d - 1) + [info.max], [info.max] * d],
+        dtype=np.int64,
+    )
+    yield "int64 extremes", extremes
+    yield "int64 extremes reversed", extremes[::-1].copy()
+    for _ in range(5):
+        size = (int(rng.integers(2, 200)), d)
+        pts = np.unique(rng.integers(-span, span, size=size), axis=0)
+        yield "random sorted", pts
+        yield "random shuffled", rng.permutation(pts)
+
+
+class TestIsSortedUnique:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_oracle(self, d):
+        seen = set()
+        for name, pts in _sorted_unique_cases(d):
+            want = _sorted_unique_oracle(pts)
+            assert lattice._is_sorted_unique(pts) is want, name
+            seen.add(want)
+        assert seen == {True, False}
 
 
 class TestProjectBox:
