@@ -14,40 +14,53 @@ point (all involved values are dyadic rationals).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .systems import CONSTANT_FLOOR
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Discretization:
+    """h, t and rho are read-only float64 arrays, levels a read-only int64
+    array or None; the constructor accepts any sequences.  There is no
+    generated equality: compare the arrays."""
+
     horizon: float
-    h: tuple[float, ...]
-    t: tuple[float, ...]
-    rho: tuple[float, ...]
+    h: np.ndarray
+    t: np.ndarray
+    rho: np.ndarray
     # dyadic exponents: h[j] == horizon * 2**-levels[j]; None for
     # discretizations not built by halving (e.g. uniform T/n grids)
-    levels: tuple[int, ...] | None = None
+    levels: np.ndarray | None = None
 
     def __post_init__(self):
-        n = len(self.h)
-        if n < 1:
+        for name, dtype in (("h", np.float64), ("t", np.float64), ("rho", np.float64),
+                            ("levels", np.int64)):
+            if getattr(self, name) is not None:
+                a = np.array(getattr(self, name), dtype=dtype)
+                a.setflags(write=False)
+                object.__setattr__(self, name, a)
+        h, t, rho, n = self.h, self.t, self.rho, self.h.size
+        if h.ndim != 1 or n < 1:
             raise ValueError("need at least one time interval")
-        if len(self.t) != n + 1 or len(self.rho) != n + 1:
+        if t.shape != (n + 1,) or rho.shape != (n + 1,):
             raise ValueError("t and rho must have length n + 1")
-        if self.t[0] != 0.0:
+        if t[0] != 0.0:
             raise ValueError("t must start at 0")
-        if any(x <= 0.0 for x in self.h) or any(r <= 0.0 for r in self.rho):
+        if not all(np.isfinite(a).all() for a in (h, t, rho)):
+            raise ValueError("h, t and rho must be finite")
+        if h.min() <= 0.0 or rho.min() <= 0.0:
             raise ValueError("h and rho must be strictly positive")
-        if self.levels is not None and len(self.levels) != n:
+        if self.levels is not None and self.levels.shape != (n,):
             raise ValueError("levels must have length n")
-        if abs(self.t[-1] - self.horizon) > 1e-9 * max(1.0, self.horizon):
+        if not abs(t[-1] - self.horizon) <= 1e-9 * max(1.0, self.horizon):
             raise ValueError("time nodes do not span [0, T]")
 
     @property
     def n(self) -> int:
-        return len(self.h)
+        return self.h.size
 
 
 def initial_discretization(T: float, L: float, P: float) -> Discretization:
@@ -82,17 +95,17 @@ def subdivide(disc: Discretization, j: int) -> Discretization:
     if not 0 <= j <= n:
         raise ValueError(f"subdivision index {j} out of range [0, {n}]")
     if j == 0:
-        rho = (disc.rho[0] / 4.0,) + disc.rho[1:]
+        rho = np.concatenate(((disc.rho[0] / 4.0,), disc.rho[1:]))
         return Discretization(disc.horizon, disc.h, disc.t, rho, disc.levels)
     half = disc.h[j - 1] / 2.0
-    h = disc.h[: j - 1] + (half, half) + disc.h[j:]
-    t = disc.t[:j] + (disc.t[j] - half,) + disc.t[j:]
+    h = np.concatenate((disc.h[: j - 1], (half, half), disc.h[j:]))
+    t = np.concatenate((disc.t[:j], (disc.t[j] - half,), disc.t[j:]))
     quarter = disc.rho[j] / 4.0
-    rho = disc.rho[:j] + (quarter, quarter) + disc.rho[j + 1 :]
+    rho = np.concatenate((disc.rho[:j], (quarter, quarter), disc.rho[j + 1 :]))
     levels = None
     if disc.levels is not None:
         lv = disc.levels[j - 1] + 1
-        levels = disc.levels[: j - 1] + (lv, lv) + disc.levels[j:]
+        levels = np.concatenate((disc.levels[: j - 1], (lv, lv), disc.levels[j:]))
     return Discretization(disc.horizon, h, t, rho, levels)
 
 
@@ -102,15 +115,11 @@ def coupling_satisfied(disc: Discretization, L: float, P: float) -> bool:
     Exact (bitwise) along dyadic refinement paths, where rho_j is
     2*L*P*T^2 scaled by a power of four; otherwise a relative check.
     """
-    base = 2.0 * L * P * disc.horizon * disc.horizon
+    rho = disc.rho[1:]
     if disc.levels is not None:
-        return all(
-            disc.rho[j + 1] == base * 0.25 ** disc.levels[j] for j in range(disc.n)
-        )
-    return all(
-        abs(disc.rho[j + 1] - 2.0 * L * P * disc.h[j] ** 2) <= 1e-9 * disc.rho[j + 1]
-        for j in range(disc.n)
-    )
+        base = 2.0 * L * P * disc.horizon * disc.horizon
+        return bool(np.all(rho == np.ldexp(base, -2 * disc.levels)))
+    return bool(np.all(np.abs(rho - 2.0 * L * P * disc.h**2) <= 1e-9 * rho))
 
 
 def dyadic_invariants_ok(disc: Discretization) -> bool:
@@ -122,22 +131,13 @@ def dyadic_invariants_ok(disc: Discretization) -> bool:
     """
     if disc.levels is None:
         return False
-    T = disc.horizon
-    n = disc.n
-    for j in range(n):
-        if disc.h[j] != T * 2.0 ** -disc.levels[j]:
+    h, t = disc.h, disc.t
+    if not np.all(h == np.ldexp(disc.horizon, -disc.levels)):
+        return False
+    # both ends of interval j are integer multiples of h_j
+    for node in (t[1:], t[:-1]):
+        if not np.all(np.rint(node / h) * h == node):
             return False
-    # t_j multiple of h_j for the interval ending at t_j (and starting at t_{j-1})
-    for j in range(1, n + 1):
-        hj = disc.h[j - 1]
-        for node in (disc.t[j], disc.t[j - 1]):
-            i = round(node / hj)
-            if i * hj != node:
-                return False
-    acc = 0.0
-    for j in range(n):
-        acc += disc.h[j]
-        drift = abs(acc - disc.t[j + 1])
-        if drift > n * math.ulp(max(acc, 1.0)):
-            return False
-    return True
+    acc = np.cumsum(h)  # sequential, as a running sum
+    drift = np.abs(acc - t[1:])
+    return bool(np.all(drift <= disc.n * np.spacing(np.maximum(acc, 1.0))))

@@ -64,14 +64,17 @@ def euler_run(
     if abs(disc.horizon - system.horizon) > 1e-9 * system.horizon:
         raise ValueError("discretization horizon does not match the system")
     t0 = time.perf_counter()
-    rho = disc.rho
+    # Python floats: a np.float64 resolution would print as np.float64(...)
+    # in the snapshot header
+    rho = disc.rho.tolist()
+    hs = disc.h.tolist()
     sets = [project_box(system.initial_set, rho[0], cap=cap)]
     cost_exact: list[int] = []
     vhat_R = [sets[0].cardinality * rho[0] ** system.d_R]
     vhat_F: list[float] = []
 
     for k in range(disc.n):
-        h = disc.h[k]
+        h = hs[k]
         src = sets[k]
         nxt, cost = _step(system, src, h, rho[k + 1], cap, step=k + 1)
         sets.append(nxt)
@@ -107,21 +110,28 @@ def _step(
     x = src.state_points()
     f_lo, f_hi = system.rhs_batch(x)
     ok = np.isfinite(f_lo) & np.isfinite(f_hi) & (f_lo <= f_hi)
-    bad = int(np.count_nonzero(~ok.all(axis=1)))
-    if bad:
+    if not ok.all():
+        bad = int(np.count_nonzero(~ok.all(axis=1)))
         raise InvariantViolation(
             f"step {step}: right-hand side returned {bad} non-finite or "
             "inverted image boxes"
         )
     lo_idx, hi_idx = lattice_range(x + h * f_lo, x + h * f_hi, rho_next)
-    sizes = hi_idx - lo_idx + 1
+    # one contiguous row of box sizes per axis; the products run over the
+    # axes in order, as a per-box product would
+    sizes = np.ascontiguousarray((hi_idx - lo_idx).T)
+    sizes += 1
 
     # guard in float first: the int64 counts can overflow in infeasible cells
-    projected = float(np.prod(sizes.astype(float), axis=1).sum())
+    projected = float(np.multiply.reduce(sizes.astype(float)).sum())
     if projected > cap:
         raise ResourceCapError(step=step, projected=projected, cap=cap)
-    cost = int(np.prod(sizes, axis=1).sum())
+    cost = int(np.multiply.reduce(sizes).sum())
 
+    # The set outlives the step: free the temporaries before the union
+    # allocates it, so that it fills their space instead of landing above
+    # them and leaving holes too small for the next, larger step.
+    del x, f_lo, f_hi, ok, sizes
     pts = union_of_boxes(lo_idx, hi_idx)
     if pts.shape[0] > cap:
         raise ResourceCapError(step=step, projected=float(pts.shape[0]), cap=cap)

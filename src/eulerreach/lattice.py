@@ -1,9 +1,9 @@
 """Finite subsets of the scaled integer lattice rho * Z^d.
 
-Points are stored as integer index tuples (exact dedup and hashing); the
-state coordinates are rho * z on demand.  The projector maps a box b to
-all lattice points within max-norm rho/2 of it, i.e. the per-axis index
-ranges ceil((lower - rho/2)/rho) .. floor((upper + rho/2)/rho).
+Points are stored as the rows of an (N, d) int64 index array, sorted and
+unique; the state coordinates are rho * z on demand.  The projector maps a
+box b to all lattice points within max-norm rho/2 of it, i.e. the per-axis
+index ranges ceil((lower - rho/2)/rho) .. floor((upper + rho/2)/rho).
 
 Boundary ties (points at distance exactly rho/2) belong to the closed
 ball and are included; index computation inflates the range endpoints by
@@ -13,6 +13,7 @@ boundary layer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,10 +41,19 @@ def lattice_range(lower: np.ndarray, upper: np.ndarray, rho: float) -> tuple[np.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    qlo = (np.asarray(lower, dtype=float) - rho / 2.0) / rho
-    qhi = (np.asarray(upper, dtype=float) + rho / 2.0) / rho
-    lo = np.ceil(qlo - BOUNDARY_GUARD * (np.abs(qlo) + 1.0)).astype(np.int64)
-    hi = np.floor(qhi + BOUNDARY_GUARD * (np.abs(qhi) + 1.0)).astype(np.int64)
+    # q -/+ BOUNDARY_GUARD * (|q| + 1) with q = (bound -/+ rho/2) / rho,
+    # in place to spare the temporaries
+    qlo = np.add(lower, -rho / 2.0, dtype=float)
+    qhi = np.add(upper, rho / 2.0, dtype=float)
+    g = None
+    for q, guard in ((qlo, -BOUNDARY_GUARD), (qhi, BOUNDARY_GUARD)):
+        q /= rho
+        g = np.abs(q, out=g)
+        g += 1.0
+        g *= guard
+        q += g
+    lo = np.ceil(qlo, out=qlo).astype(np.int64)
+    hi = np.floor(qhi, out=qhi).astype(np.int64)
     if np.any(hi < lo):
         raise AssertionError("projection produced an empty index range")
     return lo, hi
@@ -66,10 +76,14 @@ def union_of_boxes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     d = lo.shape[1]
     if lo.shape[0] == 0:
         return np.empty((0, d), dtype=np.int64)
-    base = lo.min(axis=0)
-    spans = hi.max(axis=0) - base + 1
-    wide = np.flatnonzero(spans > 1)
-    if wide.size and float(np.prod((spans + 1).astype(float))) > RASTER_BUDGET:
+    # column by column: reducing a column is far cheaper than reducing
+    # axis 0 of an (N, d) array, and needs no transposed copy
+    base = [int(lo[:, a].min()) for a in range(d)]
+    spans = [int(hi[:, a].max()) - b + 1 for a, b in enumerate(base)]
+    shape = [s + 1 for s in spans]
+    size = math.prod(shape)
+    wide = [a for a, s in enumerate(spans) if s > 1]
+    if wide and size > RASTER_BUDGET:
         a = wide[0]
         mid = base[a] + spans[a] // 2  # first index of the upper half
         left = lo[:, a] < mid
@@ -82,21 +96,37 @@ def union_of_boxes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
             [union_of_boxes(lo[left], hi_left), union_of_boxes(lo_right, hi[right])]
         )
 
-    shape = tuple(int(s) + 1 for s in spans)
-    lo0 = lo - base
-    hi1 = hi - base + 1
-    corners: tuple[list, list] = ([], [])  # flat indices of the +1 and -1 corners
-    for mask in range(1 << d):
-        upper = [(mask >> a) & 1 for a in range(d)]
-        coords = tuple(hi1[:, a] if u else lo0[:, a] for a, u in enumerate(upper))
-        corners[sum(upper) & 1].append(np.ravel_multi_index(coords, shape))
-    size = int(np.prod(shape))
-    grid = np.bincount(np.concatenate(corners[0]), minlength=size)
-    grid -= np.bincount(np.concatenate(corners[1]), minlength=size)
-    grid = grid.reshape(shape)
+    # flat offsets of the faces at lo and at hi + 1, per axis; a corner
+    # picks one face per axis and counts -1 when it picks an odd number
+    # of upper faces
+    even, odd = [0], []
+    stride = size
     for a in range(d):
-        np.cumsum(grid, axis=a, out=grid)
-    return np.argwhere(grid > 0) + base
+        stride //= shape[a]
+        f_lo = lo[:, a] - base[a]
+        f_lo *= stride
+        f_hi = hi[:, a] - (base[a] - 1)
+        f_hi *= stride
+        even, odd = (
+            [c + f_lo for c in even] + [c + f_hi for c in odd],
+            [c + f_hi for c in even] + [c + f_lo for c in odd],
+        )
+    grid = np.bincount(np.concatenate(even), minlength=size)
+    grid -= np.bincount(np.concatenate(odd), minlength=size)
+    del even, odd, f_lo, f_hi
+    cells = grid.reshape(shape)
+    for a in range(d):
+        np.cumsum(cells, axis=a, out=cells)
+    flat = np.flatnonzero(grid > 0)
+    del grid, cells
+    # decode the C-order flat indices axis by axis, from the last, into
+    # one row per axis; the rows transposed are the points
+    out = np.empty((d, flat.size), dtype=np.int64)
+    for a in range(d - 1, 0, -1):
+        np.divmod(flat, shape[a], out=(flat, out[a]))
+        out[a] += base[a]
+    np.add(flat, base[0], out=out[0])
+    return out.T
 
 
 @dataclass(frozen=True)

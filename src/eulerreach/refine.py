@@ -34,32 +34,23 @@ from .systems import SystemSpec
 
 
 def error_component(disc: Discretization, L: float, P: float, j: int) -> float:
-    """Per-node contribution to the a-priori error bound.
+    """Per-node contribution to the a-priori error bound (see error_components)."""
+    if not 0 <= j <= disc.n:
+        raise ValueError("component index out of range")
+    return float(error_components(disc, L, P)[j])
+
+
+def error_components(disc: Discretization, L: float, P: float) -> np.ndarray:
+    """All n+1 per-node contributions to the a-priori error bound.
 
     Index 0 carries the initial projection error exp(L*T) * rho_0 / 2;
     index j >= 1 carries the local step error
     exp(L*(T - t_j)) * (exp(L*h_j) - 1) * (P*h_j + rho_j/2 + rho_j/(2*L*h_j)).
     """
-    if not 0 <= j <= disc.n:
-        raise ValueError("component index out of range")
     T = disc.horizon
-    if j == 0:
-        return math.exp(L * T) * disc.rho[0] / 2.0
-    h = disc.h[j - 1]
-    rho = disc.rho[j]
-    return (
-        math.exp(L * (T - disc.t[j]))
-        * math.expm1(L * h)
-        * (P * h + rho / 2.0 + rho / (2.0 * L * h))
-    )
-
-
-def error_components(disc: Discretization, L: float, P: float) -> np.ndarray:
-    """All n+1 components as an array."""
-    T = disc.horizon
-    h = np.asarray(disc.h)
-    t = np.asarray(disc.t[1:])
-    rho = np.asarray(disc.rho[1:])
+    h = disc.h
+    t = disc.t[1:]
+    rho = disc.rho[1:]
     # expm1 keeps the factor accurate for steps as small as 2**-20 * T
     tail = np.exp(L * (T - t)) * np.expm1(L * h) * (
         P * h + rho / 2.0 + rho / (2.0 * L * h)
@@ -90,10 +81,20 @@ def delta_error(disc: Discretization, L: float, P: float, k: int) -> float:
 
 
 def delta_error_all(disc: Discretization, L: float, P: float) -> np.ndarray:
+    return _delta_error_window(disc, L, P, 0, disc.n + 1)
+
+
+def _delta_error_window(
+    disc: Discretization, L: float, P: float, a: int, b: int
+) -> np.ndarray:
+    """delta_error at the subdivision indices a <= k < b."""
     T = disc.horizon
-    h = np.asarray(disc.h)
-    t = np.asarray(disc.t[1:])
+    lo = max(a, 1)
+    h = disc.h[lo - 1 : b - 1]
+    t = disc.t[lo:b]
     tail = -np.exp(L * (T - t)) * np.expm1(L * h) * (P * h + 0.75 * L * P * h * h)
+    if a > 0:
+        return tail
     head = -0.375 * math.exp(L * T) * disc.rho[0]
     return np.concatenate(([head], tail))
 
@@ -129,7 +130,7 @@ class VolumeSplines:
 
     @classmethod
     def from_run(cls, record: RunRecord) -> "VolumeSplines":
-        return cls(np.asarray(record.disc.t), record.vhat_R, record.vhat_F)
+        return cls(record.disc.t, record.vhat_R, record.vhat_F)
 
     def v_R(self, t):
         return np.interp(t, self.nodes, self.vR_values)
@@ -148,11 +149,7 @@ def cost_component(
     """Predicted grid points computed when stepping from node j to j+1."""
     if not 0 <= j <= disc.n - 1:
         raise ValueError("cost component index out of range")
-    return float(
-        splines.v_RF(disc.t[j])
-        * disc.h[j] ** d_F
-        / (disc.rho[j] ** d_R * disc.rho[j + 1] ** d_F)
-    )
+    return float(cost_components(disc, splines, d_R, d_F)[j])
 
 
 def cost_estimate(
@@ -164,10 +161,8 @@ def cost_estimate(
 def cost_components(
     disc: Discretization, splines: VolumeSplines, d_R: int, d_F: int
 ) -> np.ndarray:
-    t = np.asarray(disc.t[:-1])
-    h = np.asarray(disc.h)
-    rho = np.asarray(disc.rho)
-    return splines.v_RF(t) * h**d_F / (rho[:-1] ** d_R * rho[1:] ** d_F)
+    rho = disc.rho
+    return splines.v_RF(disc.t[:-1]) * disc.h**d_F / (rho[:-1] ** d_R * rho[1:] ** d_F)
 
 
 def delta_cost(
@@ -185,44 +180,43 @@ def delta_cost(
     the last summand alone survives scaled variants at the boundary
     branches k = 0 and k = n.  Strictly positive for positive inputs.
     """
-    n = disc.n
-    if not 0 <= k <= n:
+    if not 0 <= k <= disc.n:
         raise ValueError("subdivision index out of range")
-    V = splines.v_RF
-    h, t, rho = disc.h, disc.t, disc.rho
-    if k == 0:
-        return float(
-            V(0.0) * (4**d_R - 1) / rho[0] ** d_R * (h[0] / rho[1]) ** d_F
-        )
-    hk = h[k - 1]
-    mid = V(t[k] - hk / 2.0) * (2.0 * hk / rho[k]) ** d_F * (4.0 / rho[k]) ** d_R
-    prev = (
-        V(t[k - 1]) * (2**d_F - 1) / rho[k - 1] ** d_R * (hk / rho[k]) ** d_F
-    )
-    if k == n:
-        return float(mid + prev)
-    nxt = V(t[k]) * (4**d_R - 1) / rho[k] ** d_R * (h[k] / rho[k + 1]) ** d_F
-    return float(mid + nxt + prev)
+    return float(_delta_cost_window(disc, splines, d_R, d_F, k, k + 1)[0])
 
 
 def delta_cost_all(
     disc: Discretization, splines: VolumeSplines, d_R: int, d_F: int
 ) -> np.ndarray:
+    return _delta_cost_window(disc, splines, d_R, d_F, 0, disc.n + 1)
+
+
+def _delta_cost_window(
+    disc: Discretization, splines: VolumeSplines, d_R: int, d_F: int, a: int, b: int
+) -> np.ndarray:
+    """delta_cost at the subdivision indices a <= k < b.
+
+    Every entry is the same elementwise expression whatever the window, so
+    a window matches the full array bit for bit.
+    """
     n = disc.n
-    out = np.empty(n + 1)
     V = splines.v_RF
-    h = np.asarray(disc.h)
-    t = np.asarray(disc.t)
-    rho = np.asarray(disc.rho)
-    out[0] = V(0.0) * (4**d_R - 1) / rho[0] ** d_R * (h[0] / rho[1]) ** d_F
-    hk = h
-    rk = rho[1:]
-    mid = V(t[1:] - hk / 2.0) * (2.0 * hk / rk) ** d_F * (4.0 / rk) ** d_R
-    prev = V(t[:-1]) * (2**d_F - 1) / rho[:-1] ** d_R * (hk / rk) ** d_F
-    out[1:] = mid + prev
-    if n > 1:
-        out[1:n] += (
-            V(t[1:n]) * (4**d_R - 1) / rho[1:n] ** d_R * (h[1:] / rho[2:]) ** d_F
+    h, t, rho = disc.h, disc.t, disc.rho
+    out = np.empty(b - a)
+    if a == 0:
+        out[0] = V(0.0) * (4**d_R - 1) / rho[0] ** d_R * (h[0] / rho[1]) ** d_F
+    lo = max(a, 1)
+    hk = h[lo - 1 : b - 1]
+    rk = rho[lo:b]
+    mid = V(t[lo:b] - hk / 2.0) * (2.0 * hk / rk) ** d_F * (4.0 / rk) ** d_R
+    rp = rho[lo - 1 : b - 1]
+    prev = V(t[lo - 1 : b - 1]) * (2**d_F - 1) / rp**d_R * (hk / rk) ** d_F
+    out[lo - a :] = mid + prev
+    c = min(b, n)  # k = n has no next interval
+    if c > lo:
+        rc, rn = rho[lo:c], rho[lo + 1 : c + 1]
+        out[lo - a : c - a] += (
+            V(t[lo:c]) * (4**d_R - 1) / rc**d_R * (h[lo:c] / rn) ** d_F
         )
     return out
 
@@ -353,6 +347,7 @@ def algorithm_adaptive(
     trace = RefinementTrace()
     splines: VolumeSplines | None = None
     record: RunRecord | None = None
+    de = dc = None  # delta_error_all and delta_cost_all of disc
     m = 0
     ell = 0
     ell_max = len(ladder)
@@ -379,14 +374,21 @@ def algorithm_adaptive(
             )
             pending_refine_time = 0.0
             splines = VolumeSplines.from_run(record)
+            de = dc = None
             ell += 1
         else:
             assert splines is not None
             t0 = time.perf_counter()
-            de = delta_error_all(disc, L, P)
-            dc = delta_cost_all(disc, splines, d_R, d_F)
+            if de is None:
+                # in full after each run, since the splines changed; then
+                # entry by entry as the discretization is subdivided
+                de = delta_error_all(disc, L, P)
+                dc = delta_cost_all(disc, splines, d_R, d_F)
             k = int(np.argmax(-de / dc))
+            delta_e, delta_c = float(de[k]), float(dc[k])
+            ratio = float(-de[k] / dc[k])
             disc = subdivide(disc, k)
+            de, dc = _update_deltas(de, dc, disc, k, L, P, splines, d_R, d_F)
             new_err = error_total(disc, L, P)
             pending_refine_time += time.perf_counter() - t0
             if not new_err < err:
@@ -399,9 +401,9 @@ def algorithm_adaptive(
                     m=m,
                     k=k,
                     n_after=disc.n,
-                    delta_e=float(de[k]),
-                    delta_c=float(dc[k]),
-                    ratio=float(-de[k] / dc[k]),
+                    delta_e=delta_e,
+                    delta_c=delta_c,
+                    ratio=ratio,
                     error_after=new_err,
                 )
             )
@@ -411,6 +413,26 @@ def algorithm_adaptive(
     if not record.error_bound <= ladder[-1]:
         raise InvariantViolation("final run does not meet the target tolerance")
     return disc, record, trace
+
+
+def _update_deltas(
+    de: np.ndarray, dc: np.ndarray, disc: Discretization, k: int,
+    L: float, P: float, splines: VolumeSplines, d_R: int, d_F: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """delta_error_all and delta_cost_all of disc = subdivide(old, k), from
+    those of old: subdividing at k >= 1 inserts node k and rewrites nodes k
+    and k + 1, which only de[k:k+2] and dc[k-1:k+3] read; at k = 0 only
+    rho_0 changes, which only de[0] and dc[0:2] read."""
+    if k == 0:
+        de_hi = 1
+    else:
+        de_hi = k + 2
+        de = np.concatenate((de[: k + 1], de[k:]))
+        dc = np.concatenate((dc[: k + 1], dc[k:]))
+    de[k:de_hi] = _delta_error_window(disc, L, P, k, de_hi)
+    a, b = max(k - 1, 0), min(k + 3, disc.n + 1)
+    dc[a:b] = _delta_cost_window(disc, splines, d_R, d_F, a, b)
+    return de, dc
 
 
 def estimator_relative_error(record: RunRecord, splines: VolumeSplines) -> float:

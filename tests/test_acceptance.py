@@ -252,7 +252,10 @@ def test_criterion_6_structural_invariants(
             ok &= dyadic_invariants_ok(replay)
             ok &= coupling_satisfied(replay, L, P)
             errs.append(it.error_after)
-        ok &= replay.h == disc.h and replay.rho == disc.rho and replay.t == disc.t
+        ok &= all(
+            np.array_equal(getattr(replay, f), getattr(disc, f))
+            for f in ("h", "rho", "t")
+        )
         ok &= all(b < a for a, b in zip(errs, errs[1:]))
         ok &= dyadic_invariants_ok(disc)
 

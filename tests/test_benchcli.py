@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -191,6 +192,56 @@ class TestRunExperiment:
             for row in s.points:
                 ref.write(" ".join(str(int(v)) for v in row) + "\n")
             assert path.read_text() == ref.getvalue(), path.name
+
+    # SHA-256 of every artifact but timing.txt, which performance work must
+    # leave unchanged; "snapshots" digests the lines "<file name> <sha256>"
+    # of all snapshot files in name order
+    PINNED_ARTIFACTS = {
+        ("exponential", 2): {
+            "config.txt": "6405e18715bf6486b753eadbd1580d7be1d9dbab6d2f904661b54092e8d29d00",
+            "iterations.csv": "38c69b5c126c2d3921353776eb0ea5c83c1cf5ba32eec25f2be0057651944e08",
+            "sigma_adaptive.csv": "43daea0565b41e4b73324037b9c7a456729bcf2780be81e37fe1de329e16f9d4",
+            "steps_adaptive.csv": "c7762ae2fa31507d4e39124658a9e0b0db5004cb3a27661e145b9ca7b8a076a6",
+            "stepsizes_adaptive.csv": "2eb25217d63a435965e722364ab581efcf0d44c73fdc4aca9cab6a1d4ec0672c",
+            "summary.txt": "9d80364cbdb8d7e4d5db50ffa31056e1312115cba47cde1bb83a197a19536a77",
+            "thresholds.csv": "4ed95e5dbaa443fa7150aacdc5a8b336f8540354f40648ae2672ea92547a34fb",
+            "snapshots": "35387ea8ac3280bea0cddfcd03dd32e14a64402f312178e5940600448ad0d745",
+        },
+        ("michaelis_menten", 1): {
+            "config.txt": "c2455dcaa546547e3c6a4f8a9a429804d3258602454d21499d4c4e4cbf9d642c",
+            "iterations.csv": "9184037addbe23b86f01fdb0981ce4e340acdc20b1efe86ee29aca9b8e93cac3",
+            "sigma_adaptive.csv": "de25dd14688437610d639c6a7774a585b9356827bf6ced7a59a7e04d03b8a9f1",
+            "steps_adaptive.csv": "7bf0ce6e1bed145a36f8630548e87ce0d9c7260b02eb0ef870675712771f7b39",
+            "stepsizes_adaptive.csv": "0078762d13bf79615c96ae4fed0ff79faebab4522a8107313749f2966848b23d",
+            "summary.txt": "494bc3e55aa81da7bdcf8815b548a207bf8fd58d5157730ab2fbd6e3fc598832",
+            "thresholds.csv": "a77b9b5096a0827f3e8cbea5601fa6ab488ae6d8bd4ff8b5b5d04c941770487a",
+            "snapshots": "6820c4236a1088f5b9408db6a9f959638c0aad5f4e226b635a2743499270abc0",
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "system,d", list(PINNED_ARTIFACTS), ids=["exponential-2", "michaelis_menten-1"]
+    )
+    def test_pinned_artifact_digests(self, tmp_path, monkeypatch, system, d):
+        # a relative --out, because config.txt and the config hash echo it
+        monkeypatch.chdir(tmp_path)
+        out = Path(f"{system}-{d}")
+        assert main(
+            ["run-adaptive", "--snapshots", "--system", system, "--d", str(d),
+             "--ladder", "0.5,0.25,0.125", "--out", str(out)]
+        ) == EXIT_OK
+        got = {}
+        snapshots = hashlib.sha256()
+        for path in sorted(out.rglob("*")):
+            if not path.is_file() or path.name == "timing.txt":
+                continue
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            if path.parent.name == "snapshots":
+                snapshots.update(f"{path.name} {digest}\n".encode())
+            else:
+                got[path.name] = digest
+        got["snapshots"] = snapshots.hexdigest()
+        assert got == self.PINNED_ARTIFACTS[(system, d)]
 
     def test_deterministic_artifacts(self, tmp_path):
         out = tmp_path / "repeat"

@@ -17,10 +17,10 @@ class TestConstruction:
     def test_initial(self):
         disc = initial_discretization(1.0, 1.0, 1.0)
         assert disc.n == 1
-        assert disc.h == (1.0,)
-        assert disc.t == (0.0, 1.0)
-        assert disc.rho == (2.0, 2.0)
-        assert disc.levels == (0,)
+        assert disc.h.tolist() == [1.0]
+        assert disc.t.tolist() == [0.0, 1.0]
+        assert disc.rho.tolist() == [2.0, 2.0]
+        assert disc.levels.tolist() == [0]
 
     def test_initial_scaling(self):
         disc = initial_discretization(2.0, 3.0, 0.5)
@@ -30,9 +30,9 @@ class TestConstruction:
     def test_uniform(self):
         disc = uniform_discretization(1.0, 4)
         assert disc.n == 4
-        assert disc.h == (0.25,) * 4
+        assert disc.h.tolist() == [0.25] * 4
         assert disc.t[-1] == 1.0
-        assert disc.rho == (0.0625,) * 5
+        assert disc.rho.tolist() == [0.0625] * 5
         assert disc.levels is None
 
     def test_uniform_last_node_exact(self):
@@ -56,32 +56,56 @@ class TestConstruction:
         with pytest.raises(ValueError):
             uniform_discretization(1.0, 0)
 
+    @pytest.mark.parametrize(
+        "h,t,rho",
+        [
+            ((math.nan,), (0.0, 1.0), (1.0, 1.0)),
+            ((math.inf,), (0.0, 1.0), (1.0, 1.0)),
+            ((1.0,), (0.0, 1.0), (math.nan, 1.0)),
+            ((1.0,), (0.0, 1.0), (1.0, math.inf)),
+            ((0.5, 0.5), (0.0, math.nan, 1.0), (1.0, 1.0, 1.0)),
+            ((0.5, 0.5), (0.0, math.inf, 1.0), (1.0, 1.0, 1.0)),
+        ],
+    )
+    def test_rejects_non_finite(self, h, t, rho):
+        with pytest.raises(ValueError):
+            Discretization(1.0, h, t, rho)
+
+    def test_fields_are_read_only_arrays(self):
+        disc = subdivide(initial_discretization(1.0, 1.0, 1.0), 1)
+        for name, dtype in (("h", np.float64), ("t", np.float64),
+                            ("rho", np.float64), ("levels", np.int64)):
+            a = getattr(disc, name)
+            assert a.dtype == dtype
+            with pytest.raises(ValueError):
+                a[0] = 0
+
 
 class TestSubdivide:
     def test_index_zero_only_quarters_rho0(self):
         disc = initial_discretization(1.0, 1.0, 1.0)
         out = subdivide(disc, 0)
-        assert out.h == disc.h
-        assert out.t == disc.t
-        assert out.rho == (0.5, 2.0)
-        assert out.levels == disc.levels
+        assert np.array_equal(out.h, disc.h)
+        assert np.array_equal(out.t, disc.t)
+        assert out.rho.tolist() == [0.5, 2.0]
+        assert np.array_equal(out.levels, disc.levels)
 
     def test_interior_split(self):
         disc = initial_discretization(1.0, 1.0, 1.0)
         out = subdivide(disc, 1)
         assert out.n == 2
-        assert out.h == (0.5, 0.5)
-        assert out.t == (0.0, 0.5, 1.0)
-        assert out.rho == (2.0, 0.5, 0.5)
-        assert out.levels == (1, 1)
+        assert out.h.tolist() == [0.5, 0.5]
+        assert out.t.tolist() == [0.0, 0.5, 1.0]
+        assert out.rho.tolist() == [2.0, 0.5, 0.5]
+        assert out.levels.tolist() == [1, 1]
 
     def test_second_level(self):
         disc = subdivide(initial_discretization(1.0, 1.0, 1.0), 1)
         out = subdivide(disc, 2)
-        assert out.h == (0.5, 0.25, 0.25)
-        assert out.t == (0.0, 0.5, 0.75, 1.0)
-        assert out.rho == (2.0, 0.5, 0.125, 0.125)
-        assert out.levels == (1, 2, 2)
+        assert out.h.tolist() == [0.5, 0.25, 0.25]
+        assert out.t.tolist() == [0.0, 0.5, 0.75, 1.0]
+        assert out.rho.tolist() == [2.0, 0.5, 0.125, 0.125]
+        assert out.levels.tolist() == [1, 2, 2]
 
     def test_out_of_range(self):
         disc = initial_discretization(1.0, 1.0, 1.0)
@@ -94,7 +118,8 @@ class TestSubdivide:
         disc = subdivide(initial_discretization(1.0, 1.0, 1.0), 1)  # n = 2
         a = subdivide(subdivide(disc, 1), 3)  # split first, then old second
         b = subdivide(subdivide(disc, 2), 1)  # split second, then old first
-        assert a.h == b.h and a.t == b.t and a.rho == b.rho and a.levels == b.levels
+        for f in ("h", "t", "rho", "levels"):
+            assert np.array_equal(getattr(a, f), getattr(b, f))
 
 
 class TestInvariants:

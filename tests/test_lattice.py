@@ -56,6 +56,44 @@ class TestLatticeRange:
         with pytest.raises(ValueError):
             lattice_range(np.zeros(1), np.ones(1), 0.0)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_reference_formula(self, d):
+        """Bit for bit against the plain one-expression-per-bound formula."""
+
+        def reference(lower, upper, rho):
+            qlo = (np.asarray(lower, dtype=float) - rho / 2.0) / rho
+            qhi = (np.asarray(upper, dtype=float) + rho / 2.0) / rho
+            g = lattice.BOUNDARY_GUARD
+            lo = np.ceil(qlo - g * (np.abs(qlo) + 1.0)).astype(np.int64)
+            hi = np.floor(qhi + g * (np.abs(qhi) + 1.0)).astype(np.int64)
+            return lo, hi
+
+        rng = np.random.default_rng(100 + d)
+        cases = []
+        for scale in (1.0, 1e3, 1e6):
+            for rho in (float(rng.uniform(1e-3, 2.0)), 0.25, 2.0**-10):
+                lower = rng.uniform(-scale, scale, size=(200, d))
+                width = rng.uniform(0.0, 3.0, size=(200, d)) * rho
+                width[::4] = 0.0  # point boxes
+                cases.append((lower, lower + width, rho))
+        # exact ties: bounds at odd multiples of rho/2, up to 1e6 / rho
+        for rho in (0.25, 0.5, 1.0):
+            m = rng.integers(-4_000_000, 4_000_000, size=(200, d))
+            lower = (m + 0.5) * rho
+            upper = lower + rng.integers(0, 3, size=(200, d)) * rho
+            cases.append((lower, upper, rho))
+            # near ties, within a few guard widths of an odd multiple of rho/2
+            for mm in (m, m % 11 - 5):
+                near = rng.uniform(-3e-12, 3e-12, size=(200, d)) * (np.abs(mm) + 1.0)
+                point = (mm + 0.5 + near) * rho
+                cases.append((point, point, rho))
+        cases.append((np.array([0.25] * d), np.array([0.25] * d), 0.5))
+        for lower, upper, rho in cases:
+            got, want = lattice_range(lower, upper, rho), reference(lower, upper, rho)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64
+                assert np.array_equal(g, w)
+
 
 def _union_oracle(lo: np.ndarray, hi: np.ndarray) -> list:
     """Sorted union of the boxes' integer points, enumerated box by box."""
@@ -85,6 +123,19 @@ def _union_cases() -> list:
             lo = rng.integers(-spread, spread, size=(25, d))
             hi = lo + rng.integers(0, 5, size=(25, d))
             cases.append(pytest.param(lo, hi, id=f"{layout}_d{d}"))
+        # memory layouts other than C order, and far-off index ranges
+        rng = np.random.default_rng(70 + d)
+        lo = rng.integers(-8, 8, size=(40, d + 1))
+        hi = lo + rng.integers(0, 4, size=(40, d + 1))
+        lo, hi = lo[:, :d], hi[:, :d]
+        cases.append(
+            pytest.param(np.asfortranarray(lo), np.asfortranarray(hi), id=f"fortran_d{d}")
+        )
+        cases.append(pytest.param(lo[::3], hi[::3], id=f"row_slice_d{d}"))
+        cases.append(pytest.param(lo[:, ::-1], hi[:, ::-1], id=f"column_slice_d{d}"))
+        for sign, name in ((1, "plus"), (-1, "minus")):
+            off = sign * 2**40
+            cases.append(pytest.param(lo + off, hi + off, id=f"offset_{name}_2e40_d{d}"))
     return cases
 
 
@@ -94,7 +145,9 @@ class TestUnionOfBoxes:
     def test_matches_oracle(self, lo, hi, budget, monkeypatch):
         if budget is not None:
             monkeypatch.setattr(lattice, "RASTER_BUDGET", budget)
+        lo_before, hi_before = lo.copy(), hi.copy()
         got = union_of_boxes(lo, hi)
+        assert np.array_equal(lo, lo_before) and np.array_equal(hi, hi_before)
         assert got.dtype == np.int64
         assert got.tolist() == [list(p) for p in _union_oracle(lo, hi)]
 

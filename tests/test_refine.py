@@ -30,6 +30,7 @@ from eulerreach.refine import (
     estimator_relative_error,
     greedy_select,
     uniform_step_count,
+    _update_deltas,
 )
 from eulerreach.systems import make_exponential_system, make_michaelis_menten
 
@@ -202,6 +203,34 @@ class TestDeltaCost:
             delta_cost(disc, _flat_splines(), 1, 1, 2)
 
 
+class TestLocalDeltaUpdates:
+    @pytest.mark.parametrize("d_R,d_F", [(1, 1), (2, 1), (2, 2), (3, 3)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equal_full_recomputation(self, d_R, d_F, seed):
+        """Updated entries are bit-identical to the full arrays."""
+        rng = np.random.default_rng(seed)
+        L, P = float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.5, 3.0))
+        disc = initial_discretization(1.0, L, P)
+        s = VolumeSplines(
+            np.array([0.0, 0.3, 1.0]),
+            rng.uniform(0.5, 4.0, size=3),
+            rng.uniform(0.5, 4.0, size=3),
+        )
+        de = delta_error_all(disc, L, P)
+        dc = delta_cost_all(disc, s, d_R, d_F)
+        seen = set()
+        for i in range(60):
+            # the boundary indices 0, 1 and n in turn, random ones between
+            forced = {0: 0, 1: 1, 2: disc.n}.get(i % 6)
+            k = forced if forced is not None else int(rng.integers(0, disc.n + 1))
+            seen.add("0" if k == 0 else "n" if k == disc.n else "inner")
+            disc = subdivide(disc, k)
+            de, dc = _update_deltas(de, dc, disc, k, L, P, s, d_R, d_F)
+            assert np.array_equal(de, delta_error_all(disc, L, P))
+            assert np.array_equal(dc, delta_cost_all(disc, s, d_R, d_F))
+        assert seen == {"0", "n", "inner"}
+
+
 class TestGreedySelect:
     def test_consistent_with_manual_argmax(self):
         rng = np.random.default_rng(17)
@@ -305,7 +334,7 @@ class TestAdaptiveSolver:
         for it in trace.iterations:
             replay = subdivide(replay, it.k)
             assert replay.n == it.n_after
-        assert replay.h == disc.h and replay.rho == disc.rho
+        assert np.array_equal(replay.h, disc.h) and np.array_equal(replay.rho, disc.rho)
 
     def test_invalid_ladders(self):
         system = make_exponential_system(1, 1.0)
