@@ -2,44 +2,17 @@
 
 Fully discrete Euler scheme on scaled integer lattices, with an optimal
 uniform baseline and a greedy adaptive space-time refinement solver.
+Everything else stays importable from its submodule.
 """
 
-from .discretization import (
-    Discretization,
-    initial_discretization,
-    subdivide,
-    uniform_discretization,
-)
+from .discretization import Discretization, initial_discretization
 from .errors import ConfigError, CouplingError, InvariantViolation, ResourceCapError
-from .euler import RunRecord, euler_run
-from .lattice import (
-    LatticeSet,
-    hausdorff_points,
-    hausdorff_to_box,
-    hausdorff_to_box_two_sided,
-    project_box,
-    union_into,
-)
-from .refine import (
-    RefinementTrace,
-    VolumeSplines,
-    algorithm_adaptive,
-    algorithm_uniform,
-    cost_component,
-    cost_estimate,
-    default_ladder,
-    delta_cost,
-    delta_error,
-    error_component,
-    error_partial_sums,
-    error_total,
-    greedy_select,
-    uniform_step_count,
-)
+from .euler import RunRecord
+from .lattice import LatticeSet, hausdorff_to_box_two_sided
+from .refine import algorithm_adaptive, algorithm_uniform, default_ladder, error_total
 from .systems import (
     Box,
     SystemSpec,
-    evaluate_rhs,
     exact_reachable_box,
     make_exponential_system,
     make_michaelis_menten,
@@ -52,34 +25,16 @@ __all__ = [
     "Discretization",
     "InvariantViolation",
     "LatticeSet",
-    "RefinementTrace",
     "ResourceCapError",
     "RunRecord",
     "SystemSpec",
-    "VolumeSplines",
     "algorithm_adaptive",
     "algorithm_uniform",
-    "cost_component",
-    "cost_estimate",
     "default_ladder",
-    "delta_cost",
-    "delta_error",
-    "error_component",
-    "error_partial_sums",
     "error_total",
-    "euler_run",
-    "evaluate_rhs",
     "exact_reachable_box",
-    "greedy_select",
-    "hausdorff_points",
-    "hausdorff_to_box",
     "hausdorff_to_box_two_sided",
     "initial_discretization",
     "make_exponential_system",
     "make_michaelis_menten",
-    "project_box",
-    "subdivide",
-    "uniform_discretization",
-    "uniform_step_count",
-    "union_into",
 ]

@@ -18,13 +18,13 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import refine
-from .discretization import Discretization, dyadic_invariants_ok
+from .discretization import dyadic_invariants_ok
 from .errors import ConfigError, InvariantViolation, ResourceCapError
 from .euler import RunRecord
 from .lattice import DEFAULT_CAP
@@ -109,15 +109,13 @@ def build_system(config: ExperimentConfig) -> SystemSpec:
             system = make_exponential_system(config.d, config.L)
         else:
             system = make_michaelis_menten()
+        return replace(
+            system,
+            d_R=system.d_R if config.d_R is None else config.d_R,
+            d_F=system.d_F if config.d_F is None else config.d_F,
+        )
     except ValueError as exc:
         raise ConfigError(f"cannot build system {config.system!r}: {exc}") from exc
-    if config.d_R is not None or config.d_F is not None:
-        system = replace(
-            system,
-            d_R=config.d_R if config.d_R is not None else system.d_R,
-            d_F=config.d_F if config.d_F is not None else system.d_F,
-        )
-    return system
 
 
 # ---------------------------------------------------------------------------
@@ -144,66 +142,62 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_steps_csv(path: Path, record: RunRecord) -> None:
+def _write_csv(path: Path, header, rows) -> None:
+    with path.open("w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _write_run(outdir: Path, name: str, record: RunRecord) -> None:
+    """steps_, sigma_ and stepsizes_<name>.csv of one solver run."""
     disc = record.disc
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "t_j", "h_j", "rho_j", "cardinality", "cost_j", "vhat_R", "vhat_F"])
-        for j in range(disc.n + 1):
-            w.writerow(
-                [
-                    j,
-                    _fmt(disc.t[j]),
-                    _fmt(disc.h[j - 1]) if j >= 1 else "",
-                    _fmt(disc.rho[j]),
-                    record.sets[j].cardinality,
-                    record.cost_exact[j] if j < disc.n else "",
-                    _fmt(record.vhat_R[j]),
-                    _fmt(record.vhat_F[j]),
-                ]
-            )
-
-
-def _write_sigma_csv(path: Path, record: RunRecord) -> None:
+    t, h, rho = disc.t, disc.h, disc.rho
+    _write_csv(
+        outdir / f"steps_{name}.csv",
+        ("j", "t_j", "h_j", "rho_j", "cardinality", "cost_j", "vhat_R", "vhat_F"),
+        (
+            [j, _fmt(t[j]), _fmt(h[j - 1]) if j >= 1 else "", _fmt(rho[j]),
+             s.cardinality, record.cost_exact[j] if j < disc.n else "",
+             _fmt(record.vhat_R[j]), _fmt(record.vhat_F[j])]
+            for j, s in enumerate(record.sets)
+        ),
+    )
     sigma_e, sigma_c = metric_sigma(record)
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["i", "t_i", "sigma_E", "sigma_C"])
-        for i in range(len(sigma_e)):
-            w.writerow([i, _fmt(record.disc.t[i]), _fmt(sigma_e[i]), _fmt(sigma_c[i])])
+    _write_csv(
+        outdir / f"sigma_{name}.csv",
+        ("i", "t_i", "sigma_E", "sigma_C"),
+        ([i, _fmt(t[i]), _fmt(e), _fmt(c)]
+         for i, (e, c) in enumerate(zip(sigma_e, sigma_c))),
+    )
+    _write_csv(
+        outdir / f"stepsizes_{name}.csv",
+        ("j", "t_j", "h_j", "rho_j"),
+        ([j, _fmt(t[j]), _fmt(h[j - 1]), _fmt(rho[j])] for j in range(1, disc.n + 1)),
+    )
 
 
-def _write_trace_csv(outdir: Path, trace: RefinementTrace) -> None:
-    with (outdir / "iterations.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m", "k_m", "n_m", "delta_E", "delta_C", "ratio", "E"])
-        for it in trace.iterations:
-            w.writerow(
-                [it.m, it.k, it.n_after, _fmt(it.delta_e), _fmt(it.delta_c),
-                 _fmt(it.ratio), _fmt(it.error_after)]
-            )
-    with (outdir / "thresholds.csv").open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["ell", "eps", "n", "E", "cost_final", "cost_cumulative", "delta_C_metric"]
-        )
-        for th in trace.thresholds:
-            delta_c = (
-                ""
-                if th.planning_splines is None
-                else _fmt(estimator_relative_error(th.record, th.planning_splines))
-            )
-            w.writerow(
-                [
-                    th.ell,
-                    "" if th.eps is None else _fmt(th.eps),
-                    th.record.disc.n,
-                    _fmt(th.record.error_bound),
-                    th.record.cost_total,
-                    th.cost_cumulative,
-                    delta_c,
-                ]
-            )
+def _write_trace(outdir: Path, trace: RefinementTrace) -> None:
+    _write_csv(
+        outdir / "iterations.csv",
+        ("m", "k_m", "n_m", "delta_E", "delta_C", "ratio", "E"),
+        (
+            [it.m, it.k, it.n_after, _fmt(it.delta_e), _fmt(it.delta_c),
+             _fmt(it.ratio), _fmt(it.error_after)]
+            for it in trace.iterations
+        ),
+    )
+    _write_csv(
+        outdir / "thresholds.csv",
+        ("ell", "eps", "n", "E", "cost_final", "cost_cumulative", "delta_C_metric"),
+        (
+            [th.ell, "" if th.eps is None else _fmt(th.eps), th.record.disc.n,
+             _fmt(th.record.error_bound), th.record.cost_total, th.cost_cumulative,
+             "" if th.planning_splines is None
+             else _fmt(estimator_relative_error(th.record, th.planning_splines))]
+            for th in trace.thresholds
+        ),
+    )
 
 
 def _write_snapshots(outdir: Path, record: RunRecord) -> None:
@@ -213,20 +207,6 @@ def _write_snapshots(outdir: Path, record: RunRecord) -> None:
         with (snapdir / f"step_{j:05d}.txt").open("w") as fh:
             fh.write(f"# t={_fmt(record.disc.t[j])}\n")
             s.write_text(fh)
-
-
-def _write_stepsizes_csv(path: Path, disc: Discretization) -> None:
-    with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["j", "t_j", "h_j", "rho_j"])
-        for j in range(1, disc.n + 1):
-            w.writerow([j, _fmt(disc.t[j]), _fmt(disc.h[j - 1]), _fmt(disc.rho[j])])
-
-
-def _write_timing(outdir: Path, lines: list[str]) -> None:
-    # wall-clock data is kept out of the deterministic artifacts
-    with (outdir / "timing.txt").open("w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -244,26 +224,18 @@ def run_experiment(config: ExperimentConfig) -> int:
         "".join(f"{k} = {v}\n" for k, v in sorted(asdict(config).items()))
         + f"config_hash = {chash}\n"
     )
-
-    timing: list[str] = []
-    summary: list[str] = [f"config_hash {chash}"]
-
-    uniform_record: RunRecord | None = None
-    adaptive_record: RunRecord | None = None
-    trace: RefinementTrace | None = None
+    summary = [f"config_hash {chash}"]
+    timing = []  # wall-clock data is kept out of the deterministic artifacts
 
     if config.algorithm in ("uniform", "compare"):
-        disc, uniform_record = algorithm_uniform(system, config.eps, cap=config.cap)
-        _write_steps_csv(outdir / "steps_uniform.csv", uniform_record)
-        _write_sigma_csv(outdir / "sigma_uniform.csv", uniform_record)
-        _write_stepsizes_csv(outdir / "stepsizes_uniform.csv", disc)
+        _, uniform = algorithm_uniform(system, config.eps, cap=config.cap)
+        _write_run(outdir, "uniform", uniform)
         summary.append(
-            f"uniform n {disc.n} E {_fmt(uniform_record.error_bound)} "
-            f"cost {uniform_record.cost_total}"
+            f"uniform n {uniform.disc.n} E {_fmt(uniform.error_bound)} "
+            f"cost {uniform.cost_total}"
         )
-        timing.append(f"uniform reach_s {uniform_record.wall_time:.6f}")
-        if config.snapshots and config.algorithm == "uniform":
-            _write_snapshots(outdir, uniform_record)
+        timing.append(f"uniform reach_s {uniform.wall_time:.6f}")
+        last = uniform
 
     if config.algorithm in ("adaptive", "compare"):
         ladder = config.ladder
@@ -273,39 +245,32 @@ def run_experiment(config: ExperimentConfig) -> int:
                 refine.initial_discretization(system.horizon, L, P), L, P
             )
             ladder = default_ladder(e0, config.eps)
-        disc, adaptive_record, trace = algorithm_adaptive(system, ladder, cap=config.cap)
-        _write_steps_csv(outdir / "steps_adaptive.csv", adaptive_record)
-        _write_sigma_csv(outdir / "sigma_adaptive.csv", adaptive_record)
-        _write_stepsizes_csv(outdir / "stepsizes_adaptive.csv", disc)
-        _write_trace_csv(outdir, trace)
+        _, adaptive, trace = algorithm_adaptive(system, ladder, cap=config.cap)
+        _write_run(outdir, "adaptive", adaptive)
+        _write_trace(outdir, trace)
+        cumulative = trace.thresholds[-1].cost_cumulative
         summary.append(
-            f"adaptive n {disc.n} E {_fmt(adaptive_record.error_bound)} "
-            f"cost_final {adaptive_record.cost_total} "
-            f"cost_cumulative {trace.thresholds[-1].cost_cumulative}"
+            f"adaptive n {adaptive.disc.n} E {_fmt(adaptive.error_bound)} "
+            f"cost_final {adaptive.cost_total} cost_cumulative {cumulative}"
         )
         for th in trace.thresholds:
             timing.append(
                 f"adaptive ell {th.ell} reach_s {th.time_reach:.6f} "
                 f"refine_s {th.time_refine:.6f}"
             )
-        if config.snapshots:
-            _write_snapshots(outdir, adaptive_record)
+        last = adaptive
 
+    if config.snapshots:  # of the last run: adaptive when both ran
+        _write_snapshots(outdir, last)
     if config.algorithm == "compare":
-        assert uniform_record is not None and adaptive_record is not None
-        assert trace is not None
-        with (outdir / "comparison.csv").open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(COMPARISON_HEADER)
-            w.writerow(
-                [chash, config.system, config.d, _fmt(config.L), _fmt(config.eps),
-                 uniform_record.disc.n, uniform_record.cost_total,
-                 adaptive_record.disc.n, adaptive_record.cost_total,
-                 trace.thresholds[-1].cost_cumulative]
-            )
+        _write_csv(outdir / "comparison.csv", COMPARISON_HEADER, [[
+            chash, config.system, config.d, _fmt(config.L), _fmt(config.eps),
+            uniform.disc.n, uniform.cost_total,
+            adaptive.disc.n, adaptive.cost_total, cumulative,
+        ]])
 
     (outdir / "summary.txt").write_text("\n".join(summary) + "\n")
-    _write_timing(outdir, timing)
+    (outdir / "timing.txt").write_text("\n".join(timing) + "\n")
     return EXIT_OK
 
 
@@ -376,28 +341,83 @@ def selftest(seed: int = 0, verbose: bool = True) -> int:
 # argument handling
 
 
+def _float(value) -> float:
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    return float(value)
+
+
+def _int(value) -> int:
+    """An integer, also from an integral float spelling such as 5e7."""
+    if isinstance(value, bool):
+        raise TypeError("a boolean is not a number")
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            value = float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _bool(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    if str(value) not in _BOOLS:
+        raise ValueError("not a boolean")
+    return _BOOLS[str(value)]
+
+
+def _floats(value) -> list[float]:
+    """Floats from a list, or from a comma-separated string."""
+    if isinstance(value, str):
+        value = [v for v in value.split(",") if v.strip()]
+    return [_float(v) for v in value]
+
+
+# parser of each ExperimentConfig field, by its annotation; the same
+# parsers read key=value files, JSON on stdin and the flags
+_PARSERS = {
+    "str": str, "int": _int, "int | None": _int, "float": _float, "bool": _bool,
+    "list[float] | None": _floats,
+}
+_FIELDS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
+
+
+def _parse(key: str, value, parser):
+    try:
+        return parser(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+
+
+def _apply_key(config: ExperimentConfig, key: str, value) -> None:
+    if key not in _FIELDS:
+        raise ConfigError(f"unknown config key {key!r}")
+    setattr(config, key, _parse(key, value, _FIELDS[key]))
+
+
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     config = ExperimentConfig()
-    if getattr(args, "config", None):
-        if args.config == "-":
-            try:
-                data = json.load(sys.stdin)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"invalid JSON config on stdin: {exc}") from exc
-            if not isinstance(data, dict):
-                raise ConfigError("stdin config must be a JSON object")
-        else:
-            data = _parse_kv_file(Path(args.config))
-        for key, value in data.items():
-            _apply_key(config, key, value)
-    for key in ("system", "d", "L", "eps", "cap", "workers", "out", "seed"):
-        value = getattr(args, key.replace("-", "_"), None)
-        if value is not None:
-            _apply_key(config, key, value)
-    if getattr(args, "ladder", None):
-        _apply_key(config, "ladder", args.ladder)
-    if getattr(args, "snapshots", False):
-        config.snapshots = True
+    data = {}
+    if args.config == "-":
+        try:
+            data = json.load(sys.stdin)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON config on stdin: {exc}") from exc
+        if not isinstance(data, dict):
+            raise ConfigError("stdin config must be a JSON object")
+    elif args.config:
+        data = _parse_kv_file(Path(args.config))
+    # flags win over the file
+    flags = {k: getattr(args, k, None) for k in _FIELDS}
+    data.update((k, v) for k, v in flags.items() if v is not None)
+    for key, value in data.items():
+        _apply_key(config, key, value)
     return config
 
 
@@ -416,56 +436,20 @@ def _parse_kv_file(path: Path) -> dict:
     return data
 
 
-def _apply_key(config: ExperimentConfig, key: str, value) -> None:
-    try:
-        if key == "system":
-            config.system = str(value)
-        elif key == "d":
-            config.d = int(value)
-        elif key == "L":
-            config.L = float(value)
-        elif key == "algorithm":
-            config.algorithm = str(value)
-        elif key == "eps":
-            config.eps = float(value)
-        elif key == "ladder":
-            if isinstance(value, str):
-                value = [float(v) for v in value.split(",") if v.strip()]
-            config.ladder = [float(v) for v in value]
-        elif key in ("d_R", "dR"):
-            config.d_R = int(value)
-        elif key in ("d_F", "dF"):
-            config.d_F = int(value)
-        elif key == "cap":
-            config.cap = int(float(value))
-        elif key == "workers":
-            config.workers = int(value)
-        elif key == "out":
-            config.out = str(value)
-        elif key == "seed":
-            config.seed = int(value)
-        elif key == "snapshots":
-            config.snapshots = value in (True, "true", "1", "yes")
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-
-
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="key=value config file, or '-' for JSON on stdin")
-    p.add_argument("--system", choices=["exponential", "michaelis_menten"])
-    p.add_argument("--d", type=int)
-    p.add_argument("--L", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--ladder", help="comma-separated decreasing thresholds")
-    p.add_argument("--cap", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--snapshots", action="store_true")
+    for name, parser in _FIELDS.items():
+        if parser is _bool:
+            p.add_argument(f"--{name}", action="store_true", default=None)
+        elif name != "algorithm":  # each command sets its own
+            p.add_argument(f"--{name}")
+
+
+# the algorithm each experiment command runs; sweep runs compare per eps
+COMMANDS = {
+    "run-uniform": "uniform", "run-adaptive": "adaptive",
+    "compare": "compare", "emit-figure-data": "compare",
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -475,9 +459,8 @@ def make_parser() -> argparse.ArgumentParser:
         "fully discrete Euler scheme, uniform and adaptive.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("run-uniform", "run-adaptive", "compare", "emit-figure-data"):
-        p = sub.add_parser(name)
-        _add_common_flags(p)
+    for name in COMMANDS:
+        _add_common_flags(sub.add_parser(name))
     p = sub.add_parser("sweep")
     _add_common_flags(p)
     p.add_argument("--eps-list", required=True, help="comma-separated tolerances")
@@ -486,45 +469,37 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def sweep(config: ExperimentConfig, eps_list: list[float]) -> int:
+    """One compare run per tolerance, below config.out, plus sweep.csv."""
+    if not eps_list:
+        raise ConfigError("empty --eps-list")
+    base_out = Path(config.out)
+    rows = []
+    for eps in eps_list:
+        cell = replace(
+            config, eps=eps, ladder=None, algorithm="compare",
+            out=str(base_out / f"eps_{_fmt(eps)}"),
+        )
+        run_experiment(cell)
+        with (Path(cell.out) / "comparison.csv").open() as fh:
+            rows.extend(list(csv.reader(fh))[1:])
+    base_out.mkdir(parents=True, exist_ok=True)
+    _write_csv(base_out / "sweep.csv", COMPARISON_HEADER, rows)
+    return EXIT_OK
+
+
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
         if args.command == "selftest":
             return selftest(seed=args.seed)
         config = _load_config(args)
-        if args.command == "run-uniform":
-            config.algorithm = "uniform"
-            return run_experiment(config)
-        if args.command == "run-adaptive":
-            config.algorithm = "adaptive"
-            return run_experiment(config)
-        if args.command in ("compare", "emit-figure-data"):
-            config.algorithm = "compare"
-            if args.command == "emit-figure-data":
-                config.snapshots = True
-            return run_experiment(config)
         if args.command == "sweep":
-            eps_list = [float(v) for v in args.eps_list.split(",") if v.strip()]
-            if not eps_list:
-                raise ConfigError("empty --eps-list")
-            base_out = Path(config.out)
-            rows = []
-            for eps in eps_list:
-                cell = ExperimentConfig(**{**asdict(config)})
-                cell.eps = eps
-                cell.ladder = None
-                cell.algorithm = "compare"
-                cell.out = str(base_out / f"eps_{_fmt(eps)}")
-                run_experiment(cell)
-                with (Path(cell.out) / "comparison.csv").open() as fh:
-                    rows.extend(list(csv.reader(fh))[1:])
-            base_out.mkdir(parents=True, exist_ok=True)
-            with (base_out / "sweep.csv").open("w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow(COMPARISON_HEADER)
-                w.writerows(rows)
-            return EXIT_OK
-        raise ConfigError(f"unknown command {args.command!r}")
+            return sweep(config, _parse("--eps-list", args.eps_list, _floats))
+        config.algorithm = COMMANDS[args.command]
+        if args.command == "emit-figure-data":
+            config.snapshots = True
+        return run_experiment(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -189,37 +189,6 @@ def project_box(b: Box, rho: float, cap: int = DEFAULT_CAP) -> LatticeSet:
     return LatticeSet(rho, union_of_boxes(lo[None, :], hi[None, :]))
 
 
-def union_into(target: LatticeSet, addition: LatticeSet) -> tuple[LatticeSet, int]:
-    """Set union; also reports #addition before dedup against the target."""
-    if target.resolution != addition.resolution:
-        raise ValueError("resolution mismatch in lattice union")
-    if target.dim != addition.dim:
-        raise ValueError("dimension mismatch in lattice union")
-    pts = np.concatenate([target.points, addition.points])
-    merged = union_of_boxes(pts, pts)
-    return LatticeSet(target.resolution, merged), addition.cardinality
-
-
-def hausdorff_points(A: np.ndarray, B: np.ndarray, chunk: int = 4096) -> float:
-    """Hausdorff distance between finite point sets in the max norm."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if A.shape[0] == 0 or B.shape[0] == 0:
-        raise ValueError("hausdorff_points requires nonempty sets")
-    if A.shape[1] != B.shape[1]:
-        raise ValueError("dimension mismatch")
-    return max(_directed_points(A, B, chunk), _directed_points(B, A, chunk))
-
-
-def _directed_points(A: np.ndarray, B: np.ndarray, chunk: int) -> float:
-    worst = 0.0
-    for i in range(0, A.shape[0], chunk):
-        block = A[i : i + chunk]
-        d = np.abs(block[:, None, :] - B[None, :, :]).max(axis=2).min(axis=1)
-        worst = max(worst, float(d.max()))
-    return worst
-
-
 def hausdorff_to_box(A: LatticeSet, b: Box) -> float:
     """Largest max-norm distance from a point of A to the box.
 

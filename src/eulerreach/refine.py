@@ -329,11 +329,11 @@ def algorithm_adaptive(
 ) -> tuple[Discretization, RunRecord, RefinementTrace]:
     """Iterative greedy refinement around repeated Euler runs.
 
-    Runs Euler once unconditionally on the single-interval start, then
-    alternates between greedy subdivision (while the error bound exceeds
-    the current threshold) and Euler runs that refresh the volume splines
-    and advance to the next threshold.  Returns the final discretization
-    with error bound <= ladder[-1], its run, and the full trace.
+    Runs Euler once on the single-interval start; then, for each threshold
+    of the ladder, subdivides greedily while the error bound exceeds it and
+    runs Euler again, which refreshes the volume splines the next threshold
+    plans with.  Returns the final discretization with error bound
+    <= ladder[-1], its run, and the full trace.
     """
     if not ladder or any(e <= 0 for e in ladder):
         raise ValueError("ladder must be nonempty and positive")
@@ -346,70 +346,42 @@ def algorithm_adaptive(
     err = error_total(disc, L, P)
     trace = RefinementTrace()
     splines: VolumeSplines | None = None
-    record: RunRecord | None = None
-    de = dc = None  # delta_error_all and delta_cost_all of disc
-    m = 0
-    ell = 0
-    ell_max = len(ladder)
     cumulative = 0
-    pending_refine_time = 0.0
 
-    while ell <= ell_max:
-        first_run = m == 0 and ell == 0
-        if first_run or (ell >= 1 and err <= ladder[ell - 1]):
-            t0 = time.perf_counter()
-            record = euler_run(system, disc, cap=cap)
-            reach_time = time.perf_counter() - t0
-            cumulative += record.cost_total
-            trace.thresholds.append(
-                ThresholdRecord(
-                    ell=ell,
-                    eps=None if ell == 0 else ladder[ell - 1],
-                    record=record,
-                    planning_splines=splines,
-                    cost_cumulative=cumulative,
-                    time_reach=reach_time,
-                    time_refine=pending_refine_time,
-                )
-            )
-            pending_refine_time = 0.0
-            splines = VolumeSplines.from_run(record)
-            de = dc = None
-            ell += 1
-        else:
-            assert splines is not None
-            t0 = time.perf_counter()
-            if de is None:
-                # in full after each run, since the splines changed; then
-                # entry by entry as the discretization is subdivided
-                de = delta_error_all(disc, L, P)
-                dc = delta_cost_all(disc, splines, d_R, d_F)
-            k = int(np.argmax(-de / dc))
-            delta_e, delta_c = float(de[k]), float(dc[k])
-            ratio = float(-de[k] / dc[k])
-            disc = subdivide(disc, k)
-            de, dc = _update_deltas(de, dc, disc, k, L, P, splines, d_R, d_F)
-            new_err = error_total(disc, L, P)
-            pending_refine_time += time.perf_counter() - t0
-            if not new_err < err:
-                raise InvariantViolation(
-                    "error bound did not strictly decrease under subdivision"
-                )
-            m += 1
-            trace.iterations.append(
-                IterationRecord(
-                    m=m,
-                    k=k,
-                    n_after=disc.n,
-                    delta_e=delta_e,
-                    delta_c=delta_c,
-                    ratio=ratio,
-                    error_after=new_err,
-                )
-            )
-            err = new_err
+    # the first run has no threshold to meet
+    for ell, eps in enumerate([None, *ladder]):
+        t0 = time.perf_counter()
+        if eps is not None and err > eps:
+            # in full once per threshold, since the splines changed; then
+            # entry by entry as the discretization is subdivided
+            de = delta_error_all(disc, L, P)
+            dc = delta_cost_all(disc, splines, d_R, d_F)
+            while err > eps:
+                k = int(np.argmax(-de / dc))
+                delta_e, delta_c = float(de[k]), float(dc[k])
+                ratio = float(-de[k] / dc[k])
+                disc = subdivide(disc, k)
+                de, dc = _update_deltas(de, dc, disc, k, L, P, splines, d_R, d_F)
+                new_err = error_total(disc, L, P)
+                if not new_err < err:
+                    raise InvariantViolation(
+                        "error bound did not strictly decrease under subdivision"
+                    )
+                err = new_err
+                trace.iterations.append(IterationRecord(
+                    m=len(trace.iterations) + 1, k=k, n_after=disc.n,
+                    delta_e=delta_e, delta_c=delta_c, ratio=ratio, error_after=err,
+                ))
+        t1 = time.perf_counter()
+        record = euler_run(system, disc, cap=cap)
+        cumulative += record.cost_total
+        trace.thresholds.append(ThresholdRecord(
+            ell=ell, eps=eps, record=record, planning_splines=splines,
+            cost_cumulative=cumulative, time_reach=time.perf_counter() - t1,
+            time_refine=t1 - t0,
+        ))
+        splines = VolumeSplines.from_run(record)
 
-    assert record is not None
     if not record.error_bound <= ladder[-1]:
         raise InvariantViolation("final run does not meet the target tolerance")
     return disc, record, trace

@@ -91,9 +91,6 @@ class SystemSpec:
         if self.initial_set.dim != self.dimension:
             raise ValueError("initial set dimension mismatch")
 
-    def rhs(self, x) -> Box:
-        return evaluate_rhs(self, x)
-
 
 def evaluate_rhs(system: SystemSpec, x) -> Box:
     """Interval hull of F(x) at a single state point."""
@@ -106,7 +103,7 @@ def evaluate_rhs(system: SystemSpec, x) -> Box:
     return Box(lo[0], hi[0])
 
 
-def make_exponential_system(d: int, L: float, clamp_floor: float = CONSTANT_FLOOR) -> SystemSpec:
+def make_exponential_system(d: int, L: float) -> SystemSpec:
     """Componentwise inclusion xdot_i in [0.9, 1.0] * L * x_i on [0, 1].
 
     Starts from the all-ones point.  The exact reachable set at time t is
@@ -128,8 +125,8 @@ def make_exponential_system(d: int, L: float, clamp_floor: float = CONSTANT_FLOO
         name="exponential",
         dimension=d,
         horizon=1.0,
-        lipschitz=max(L, clamp_floor),
-        bound=max(L * math.exp(L), clamp_floor),
+        lipschitz=max(L, CONSTANT_FLOOR),
+        bound=max(L * math.exp(L), CONSTANT_FLOOR),
         initial_set=Box.point(ones),
         rhs_batch=rhs_batch,
         d_R=d,
@@ -139,7 +136,7 @@ def make_exponential_system(d: int, L: float, clamp_floor: float = CONSTANT_FLOO
     )
 
 
-def make_michaelis_menten(clamp_floor: float = CONSTANT_FLOOR) -> SystemSpec:
+def make_michaelis_menten() -> SystemSpec:
     """Reduced two-state enzyme kinetics with an uncertain rate k2.
 
     x1' = -k1*e0*x1 + (k1*x1 + km1)*x2
@@ -167,8 +164,8 @@ def make_michaelis_menten(clamp_floor: float = CONSTANT_FLOOR) -> SystemSpec:
         name="michaelis_menten",
         dimension=2,
         horizon=1.0,
-        lipschitz=max(3.0, clamp_floor),
-        bound=max(0.61, clamp_floor),
+        lipschitz=3.0,
+        bound=0.61,
         initial_set=Box.point([0.75, 0.25]),
         rhs_batch=rhs_batch,
         d_R=2,

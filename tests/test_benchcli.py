@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +29,23 @@ from eulerreach.errors import ConfigError, InvariantViolation
 from eulerreach.euler import euler_run
 from eulerreach.refine import algorithm_adaptive
 from eulerreach.systems import make_exponential_system
+
+
+def _artifact_digests(out: Path) -> dict[str, str]:
+    got = {}
+    snapshots = hashlib.sha256()
+    for path in sorted(out.rglob("*")):
+        if not path.is_file() or path.name == "timing.txt":
+            continue
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        if path.parent.name == "snapshots":
+            snapshots.update(f"{path.name} {digest}\n".encode())
+            got["snapshots"] = None
+        else:
+            got[path.relative_to(out).as_posix()] = digest
+    if "snapshots" in got:
+        got["snapshots"] = snapshots.hexdigest()
+    return got
 
 
 class TestConfig:
@@ -128,6 +147,90 @@ class TestConfigParsing:
         monkeypatch.setattr("sys.stdin", io.StringIO("not json"))
         assert main(["run-uniform", "--config", "-"]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("value", [2.7, True], ids=["float", "bool"])
+    def test_stdin_non_integer_rejected(self, tmp_path, monkeypatch, capsys, value):
+        payload = {"d": value, "out": str(tmp_path / "o")}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        assert main(["run-uniform", "--config", "-"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "o").exists()
+
+    def test_kv_file_bad_boolean(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("snapshots = on\n")
+        assert main(
+            ["run-uniform", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        ) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [(True, True), (False, False), ("true", True), ("1", True), ("yes", True),
+         ("false", False), ("0", False), ("no", False)],
+    )
+    def test_boolean_spellings(self, value, expected):
+        config = ExperimentConfig()
+        benchcli._apply_key(config, "snapshots", value)
+        assert config.snapshots is expected
+
+    @pytest.mark.parametrize(
+        "value, expected", [("7", 7), (7, 7), ("-3", -3), ("5e7", 50_000_000),
+                            (5e7, 50_000_000), ("2.0", 2)],
+    )
+    def test_integer_spellings(self, value, expected):
+        config = ExperimentConfig()
+        benchcli._apply_key(config, "cap", value)
+        assert type(config.cap) is int and config.cap == expected
+
+    @pytest.mark.parametrize(
+        "value", ["2.5", 2.5, True, "nan", "inf", float("inf"), None, [1]]
+    )
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(ConfigError):
+            benchcli._apply_key(ExperimentConfig(), "d", value)
+
+    @pytest.mark.parametrize(
+        "key, value", [("eps", True), ("L", False), ("ladder", [True, 0.5])]
+    )
+    def test_booleans_rejected_as_floats(self, key, value):
+        with pytest.raises(ConfigError):
+            benchcli._apply_key(ExperimentConfig(), key, value)
+
+    # a non-default value of every ExperimentConfig field but algorithm,
+    # which each command sets: as JSON, as a key=value line and as flags
+    SPELLINGS = {
+        "system": ("michaelis_menten", "michaelis_menten", ["--system", "michaelis_menten"]),
+        "d": (2, "2", ["--d", "2"]),
+        "L": (0.5, "0.5", ["--L", "0.5"]),
+        "eps": (1.0, "1.0", ["--eps", "1.0"]),
+        "ladder": ([1.0, 0.5], "1, 0.5", ["--ladder", "1,0.5"]),
+        "d_R": (1, "1", ["--d_R", "1"]),
+        "d_F": (0, "0", ["--d_F", "0"]),
+        "cap": (40_000_000, "4e7", ["--cap", "40000000"]),
+        "workers": (2, "2", ["--workers", "2"]),
+        "out": ("elsewhere", "elsewhere", ["--out", "elsewhere"]),
+        "seed": (3, "3", ["--seed", "3"]),
+        "snapshots": (True, "yes", ["--snapshots"]),
+    }
+
+    @pytest.mark.parametrize("key", list(SPELLINGS))
+    def test_file_json_and_flag_agree(self, tmp_path, monkeypatch, key):
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(self.SPELLINGS) == names - {"algorithm"}
+        monkeypatch.chdir(tmp_path)
+        json_value, kv_value, flags = self.SPELLINGS[key]
+        Path("run.cfg").write_text(f"{key} = {kv_value}\n")
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({key: json_value})))
+        out = Path("elsewhere" if key == "out" else "out")
+        echoed = []
+        for argv in (["--config", "run.cfg"], ["--config", "-"], flags):
+            assert main(["run-uniform", *argv]) == EXIT_OK
+            echoed.append((out / "config.txt").read_bytes())
+            shutil.rmtree(out)
+        assert echoed[0] == echoed[1] == echoed[2]
+        default = f"{key} = {getattr(ExperimentConfig(), key)}"
+        assert default not in echoed[0].decode().splitlines()
+
 
 class TestRunExperiment:
     def test_uniform_artifacts(self, tmp_path):
@@ -193,11 +296,24 @@ class TestRunExperiment:
                 ref.write(" ".join(str(int(v)) for v in row) + "\n")
             assert path.read_text() == ref.getvalue(), path.name
 
+    # argv of each pinned run; its --out is the run's name, relative,
+    # because config.txt and the config hash echo it
+    PINNED_RUNS = {
+        "exponential-2": ["run-adaptive", "--snapshots", "--system", "exponential",
+                          "--d", "2", "--ladder", "0.5,0.25,0.125"],
+        "michaelis_menten-1": ["run-adaptive", "--snapshots", "--system",
+                               "michaelis_menten", "--d", "1", "--ladder",
+                               "0.5,0.25,0.125"],
+        "compare-exponential-2": ["compare", "--d", "2", "--eps", "0.25"],
+        "sweep-michaelis_menten": ["sweep", "--system", "michaelis_menten",
+                                   "--eps-list", "0.5,0.25"],
+    }
+
     # SHA-256 of every artifact but timing.txt, which performance work must
-    # leave unchanged; "snapshots" digests the lines "<file name> <sha256>"
-    # of all snapshot files in name order
+    # leave unchanged, by path below --out; "snapshots" digests the lines
+    # "<file name> <sha256>" of all snapshot files in name order
     PINNED_ARTIFACTS = {
-        ("exponential", 2): {
+        "exponential-2": {
             "config.txt": "6405e18715bf6486b753eadbd1580d7be1d9dbab6d2f904661b54092e8d29d00",
             "iterations.csv": "38c69b5c126c2d3921353776eb0ea5c83c1cf5ba32eec25f2be0057651944e08",
             "sigma_adaptive.csv": "43daea0565b41e4b73324037b9c7a456729bcf2780be81e37fe1de329e16f9d4",
@@ -207,7 +323,7 @@ class TestRunExperiment:
             "thresholds.csv": "4ed95e5dbaa443fa7150aacdc5a8b336f8540354f40648ae2672ea92547a34fb",
             "snapshots": "35387ea8ac3280bea0cddfcd03dd32e14a64402f312178e5940600448ad0d745",
         },
-        ("michaelis_menten", 1): {
+        "michaelis_menten-1": {
             "config.txt": "c2455dcaa546547e3c6a4f8a9a429804d3258602454d21499d4c4e4cbf9d642c",
             "iterations.csv": "9184037addbe23b86f01fdb0981ce4e340acdc20b1efe86ee29aca9b8e93cac3",
             "sigma_adaptive.csv": "de25dd14688437610d639c6a7774a585b9356827bf6ced7a59a7e04d03b8a9f1",
@@ -217,31 +333,51 @@ class TestRunExperiment:
             "thresholds.csv": "a77b9b5096a0827f3e8cbea5601fa6ab488ae6d8bd4ff8b5b5d04c941770487a",
             "snapshots": "6820c4236a1088f5b9408db6a9f959638c0aad5f4e226b635a2743499270abc0",
         },
+        "compare-exponential-2": {
+            "comparison.csv": "cd4b0be32e8773af4c6a516d71f7627846f8d710dfb74de6d1aba0f7a923536d",
+            "config.txt": "f3d60883c46e329b4ea10754ff9ded96af0ab7ec2bf8486311ff7388ffdef0c3",
+            "iterations.csv": "9bb063b5806a47b054d341678cf83f25f81a4451a407cd2a888967287dfec879",
+            "sigma_adaptive.csv": "decf232b2e1802fe9eb7119e609718962fa20814a875683f880d95769726a304",
+            "sigma_uniform.csv": "2f09c893c9ae9833716e2296d9d07e22b101310139d2646e7bbb35f5c08d526b",
+            "steps_adaptive.csv": "5ab7d15060767dfda55c183bb2097701e1fb85ccba2786c030ee1fd0fb36bc80",
+            "steps_uniform.csv": "f110abc2fd775f417c4f97ff9df3fe427b0cf7d7c0bcf95e17b27794ad1bca72",
+            "stepsizes_adaptive.csv": "c2c881c0c4082d1ddc60b9f6cc99eb37ae9aba9306a7478a9758fb3325948946",
+            "stepsizes_uniform.csv": "12213b29ef428dbec3119677e39c717279b68c81f8e38b8f83d261abdc77be1f",
+            "summary.txt": "a3bf2257724403fe397c9b9d07b2e03c873ed34da61d2f42f4dadc9245e77ee6",
+            "thresholds.csv": "5d802d62d7ee360ebef8c4b13b6f2de7c79df3952ebe13987966bf1179e92a04",
+        },
+        "sweep-michaelis_menten": {
+            "eps_0.25/comparison.csv": "ed5ef9fbcd6b725dc2b8b9b297401c39094ba7e5142af16bcbaf0a5809882089",
+            "eps_0.25/config.txt": "80f5e53695afe246ca0966638677fe4e2b31f9b2dec2e271c7909fcaae0d3ebd",
+            "eps_0.25/iterations.csv": "2f0ee52efd4828d26a8d272ba411a15bb91ed09e6bbf060c70a5881c34f072f2",
+            "eps_0.25/sigma_adaptive.csv": "7bffa09603970b5230c1d38e3887bb87efb66faf27ff49ffe1672825daa28003",
+            "eps_0.25/sigma_uniform.csv": "6115827c5775bde53d607e4ff5482dad52426b30f0fb45d8059f01970758d160",
+            "eps_0.25/steps_adaptive.csv": "1c1e5092d865c3d54d84df17f9ff5277d3772dac02aa33a481375c2bee092636",
+            "eps_0.25/steps_uniform.csv": "e525b313f72c5661a94ae59ca6a3fb012a6005573a411f1c8ee19f0430aebca6",
+            "eps_0.25/stepsizes_adaptive.csv": "7e85e401a170b7eaa7f485551de843c9b885f1f2f7c2476fd1c6c1ae62c55b80",
+            "eps_0.25/stepsizes_uniform.csv": "1c0e5d53d551fc88f28be724f85b63172d144f01d50f4fd094f1ea157c3613e6",
+            "eps_0.25/summary.txt": "427f0641ec6c415a39e50f46afb916b3fcb5762493b48dc51482bfe58adfd6b8",
+            "eps_0.25/thresholds.csv": "8a090074c50ef5bee36de745cfd58c95865ebb68056bc7f1fc2c0c4d9f1caaf8",
+            "eps_0.5/comparison.csv": "ecee86402dbcfed4d3961fbad290ed7a6fab8c5d61ec824cecbef2da971c44ac",
+            "eps_0.5/config.txt": "4699fcbd2301a95d3d8c2b217a4dffecb2668d415501ca51dfdf8905c1424658",
+            "eps_0.5/iterations.csv": "a1b8975714c6c5b58f4bdc489fa1963ae45505360737ddec5046b2c4cb9b65ef",
+            "eps_0.5/sigma_adaptive.csv": "2ca380ca85df53cb9dfece8886fa616b44a861bf6f7c1c988c543ae1099eb963",
+            "eps_0.5/sigma_uniform.csv": "79122d18bfe88abb9bd505cf518351a83bcc178dfda93428e17b4d90104ca6e9",
+            "eps_0.5/steps_adaptive.csv": "cc2a238cf89eaa3ebba6e22f5f1cd7bf0cbb25bc8848a573e08cfff1850179c0",
+            "eps_0.5/steps_uniform.csv": "08617c6e3622349cf70bad6fe1838bc346ffcceeed8a0fbd8efb92027b39fb01",
+            "eps_0.5/stepsizes_adaptive.csv": "56421b7fcad149440026909c27240fa6677c354b819b919e49d01bc956910ea2",
+            "eps_0.5/stepsizes_uniform.csv": "fece16cdde0ee4091973c507fa06ac2476f63f1f098693069a52ff34973557db",
+            "eps_0.5/summary.txt": "7130d10387e9ac230eed090f1470a71f8d97df01d98ce0177933d8fca43efbc6",
+            "eps_0.5/thresholds.csv": "88446088007fc9698f745872494ae220b213fb3359815819586b2d4308b1abf1",
+            "sweep.csv": "89d44e57ab7da947bcb0304726b619714e484a01c1ab69d098236253195d48e0",
+        },
     }
 
-    @pytest.mark.parametrize(
-        "system,d", list(PINNED_ARTIFACTS), ids=["exponential-2", "michaelis_menten-1"]
-    )
-    def test_pinned_artifact_digests(self, tmp_path, monkeypatch, system, d):
-        # a relative --out, because config.txt and the config hash echo it
+    @pytest.mark.parametrize("name", list(PINNED_RUNS))
+    def test_pinned_artifact_digests(self, tmp_path, monkeypatch, name):
         monkeypatch.chdir(tmp_path)
-        out = Path(f"{system}-{d}")
-        assert main(
-            ["run-adaptive", "--snapshots", "--system", system, "--d", str(d),
-             "--ladder", "0.5,0.25,0.125", "--out", str(out)]
-        ) == EXIT_OK
-        got = {}
-        snapshots = hashlib.sha256()
-        for path in sorted(out.rglob("*")):
-            if not path.is_file() or path.name == "timing.txt":
-                continue
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            if path.parent.name == "snapshots":
-                snapshots.update(f"{path.name} {digest}\n".encode())
-            else:
-                got[path.name] = digest
-        got["snapshots"] = snapshots.hexdigest()
-        assert got == self.PINNED_ARTIFACTS[(system, d)]
+        assert main([*self.PINNED_RUNS[name], "--out", name]) == EXIT_OK
+        assert _artifact_digests(Path(name)) == self.PINNED_ARTIFACTS[name]
 
     def test_deterministic_artifacts(self, tmp_path):
         out = tmp_path / "repeat"
@@ -275,6 +411,21 @@ class TestMainExitCodes:
         assert main(
             ["run-uniform", "--L", "-1", "--out", str(tmp_path / "neg")]
         ) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("line", ["d_R = 5", "d_F = -1"])
+    def test_bad_exponent_in_config_file(self, tmp_path, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(
+            ["run-uniform", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        ) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_sweep_bad_eps_list(self, tmp_path, capsys):
+        assert main(
+            ["sweep", "--eps-list", "abc", "--out", str(tmp_path / "s")]
+        ) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_resource_cap(self, tmp_path):
         code = main(

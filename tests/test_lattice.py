@@ -9,12 +9,10 @@ from eulerreach import lattice
 from eulerreach.errors import ResourceCapError
 from eulerreach.lattice import (
     LatticeSet,
-    hausdorff_points,
     hausdorff_to_box,
     hausdorff_to_box_two_sided,
     lattice_range,
     project_box,
-    union_into,
     union_of_boxes,
 )
 from eulerreach.systems import Box
@@ -279,40 +277,7 @@ class TestProjectBox:
             project_box(Box(np.zeros(2), np.full(2, 100.0)), 0.01, cap=1000)
 
 
-class TestUnion:
-    def test_union_counts_addition_before_dedup(self):
-        a = LatticeSet(1.0, np.array([[0], [1]], dtype=np.int64))
-        b = LatticeSet(1.0, np.array([[1], [2]], dtype=np.int64))
-        merged, added = union_into(a, b)
-        assert merged.points.tolist() == [[0], [1], [2]]
-        assert added == 2
-
-    def test_resolution_mismatch(self):
-        a = LatticeSet(1.0, np.array([[0]], dtype=np.int64))
-        b = LatticeSet(0.5, np.array([[0]], dtype=np.int64))
-        with pytest.raises(ValueError):
-            union_into(a, b)
-
-
 class TestHausdorff:
-    def test_points_symmetric(self):
-        A = np.array([[0.0, 0.0]])
-        B = np.array([[3.0, 1.0], [0.5, 0.5]])
-        assert hausdorff_points(A, B) == pytest.approx(3.0)
-        assert hausdorff_points(B, A) == pytest.approx(3.0)
-
-    def test_points_identical_sets(self):
-        A = np.array([[1.0], [2.0]])
-        assert hausdorff_points(A, A) == 0.0
-
-    def test_points_chunked_consistent(self):
-        rng = np.random.default_rng(5)
-        A = rng.uniform(-1, 1, size=(300, 2))
-        B = rng.uniform(-1, 1, size=(170, 2))
-        assert hausdorff_points(A, B, chunk=7) == pytest.approx(
-            hausdorff_points(A, B, chunk=4096)
-        )
-
     def test_to_box_excess(self):
         A = LatticeSet(1.0, np.array([[0]], dtype=np.int64))
         assert hausdorff_to_box(A, Box([1.0], [2.0])) == pytest.approx(1.0)
