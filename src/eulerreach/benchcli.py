@@ -33,6 +33,7 @@ from .refine import (
     VolumeSplines,
     algorithm_adaptive,
     algorithm_uniform,
+    check_tolerances,
     default_ladder,
     error_components,
     error_total,
@@ -75,20 +76,14 @@ class ExperimentConfig:
             raise ConfigError(f"unknown system {self.system!r}")
         if self.algorithm not in ("uniform", "adaptive", "compare"):
             raise ConfigError(f"unknown algorithm {self.algorithm!r}")
-        if not (np.isfinite(self.eps) and self.eps > 0):
-            raise ConfigError("eps must be positive and finite")
+        try:
+            check_tolerances([self.eps], "eps")
+            if self.ladder is not None:
+                check_tolerances(self.ladder)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not np.isfinite(self.L):
             raise ConfigError("L must be finite")
-        if self.ladder is not None:
-            if not self.ladder or not all(
-                np.isfinite(e) and e > 0 for e in self.ladder
-            ):
-                raise ConfigError("ladder entries must be positive and finite")
-            if any(
-                self.ladder[i + 1] >= self.ladder[i]
-                for i in range(len(self.ladder) - 1)
-            ):
-                raise ConfigError("ladder must be strictly decreasing")
         if self.cap < MIN_CAP:
             raise ConfigError(f"cap must be at least {MIN_CAP}")
         if self.d < 1:
@@ -255,7 +250,7 @@ def run_experiment(config: ExperimentConfig) -> int:
         )
         for th in trace.thresholds:
             timing.append(
-                f"adaptive ell {th.ell} reach_s {th.time_reach:.6f} "
+                f"adaptive ell {th.ell} reach_s {th.record.wall_time:.6f} "
                 f"refine_s {th.time_refine:.6f}"
             )
         last = adaptive
@@ -314,12 +309,12 @@ def selftest(seed: int = 0, verbose: bool = True) -> int:
             disc = subdivide(disc, int(rng.integers(0, disc.n + 1)))
         e = error_total(disc, L, P)
         c = refine.cost_estimate(disc, splines, 1, 1)
+        de = refine.delta_error_all(disc, L, P)
+        dc = refine.delta_cost_all(disc, splines, 1, 1)
         for k in range(disc.n + 1):
-            de = refine.delta_error(disc, L, P, k)
-            dc = refine.delta_cost(disc, splines, 1, 1, k)
             sub = subdivide(disc, k)
-            ok &= abs(de - (error_total(sub, L, P) - e)) <= 1e-10 * abs(e)
-            ok &= abs(dc - (refine.cost_estimate(sub, splines, 1, 1) - c)) <= 1e-10 * abs(c)
+            ok &= abs(de[k] - (error_total(sub, L, P) - e)) <= 1e-10 * abs(e)
+            ok &= abs(dc[k] - (refine.cost_estimate(sub, splines, 1, 1) - c)) <= 1e-10 * abs(c)
         if not dyadic_invariants_ok(disc):
             ok = False
     check("closed-form deltas match recomputation", ok)

@@ -10,15 +10,15 @@ class CouplingError(ValueError):
 
 
 class ResourceCapError(RuntimeError):
-    """A lattice set (or the points needed to build it) exceeded the cap."""
+    """A lattice set (or the points needed to build it) exceeded the cap, or
+    a uniform grid would need more steps than its cap (step is then None)."""
 
-    def __init__(self, step: int, projected: float, cap: int):
-        self.step = step
-        self.projected = projected
-        self.cap = cap
+    def __init__(self, step: int | None, projected: float, cap: float,
+                 unit: str = "lattice points"):
+        self.step, self.projected, self.cap = step, projected, cap
+        where = "" if step is None else f"step {step}: "
         super().__init__(
-            f"step {step}: projected {projected:.3e} lattice points exceeds "
-            f"cap {cap:.3e}"
+            f"{where}projected {projected:.3e} {unit} exceeds cap {cap:.3e}"
         )
 
 

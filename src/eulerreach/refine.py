@@ -23,21 +23,13 @@ from .discretization import (
     subdivide,
     uniform_discretization,
 )
-from .errors import CouplingError, InvariantViolation
+from .errors import CouplingError, InvariantViolation, ResourceCapError
 from .euler import RunRecord, euler_run
 from .lattice import DEFAULT_CAP
 from .systems import SystemSpec
 
-
 # ---------------------------------------------------------------------------
 # error bound
-
-
-def error_component(disc: Discretization, L: float, P: float, j: int) -> float:
-    """Per-node contribution to the a-priori error bound (see error_components)."""
-    if not 0 <= j <= disc.n:
-        raise ValueError("component index out of range")
-    return float(error_components(disc, L, P)[j])
 
 
 def error_components(disc: Discretization, L: float, P: float) -> np.ndarray:
@@ -62,13 +54,8 @@ def error_total(disc: Discretization, L: float, P: float) -> float:
     return float(error_components(disc, L, P).sum())
 
 
-def error_partial_sums(disc: Discretization, L: float, P: float) -> np.ndarray:
-    """Per-k bound: partial sums of the components (length n+1)."""
-    return np.cumsum(error_components(disc, L, P))
-
-
-def delta_error(disc: Discretization, L: float, P: float, k: int) -> float:
-    """Closed-form change of the error bound under subdivision at k.
+def delta_error_all(disc: Discretization, L: float, P: float) -> np.ndarray:
+    """Closed-form change of the error bound under subdivision at each k.
 
     Requires the coupling rho_j = 2*L*P*h_j^2 on j >= 1.  Equals
     -3/8 * exp(L*T) * rho_0 at k = 0 and
@@ -76,18 +63,14 @@ def delta_error(disc: Discretization, L: float, P: float, k: int) -> float:
     otherwise; always at most -E_k / 2.
     """
     if not coupling_satisfied(disc, L, P):
-        raise CouplingError("delta_error requires rho_j = 2*L*P*h_j^2 for j >= 1")
-    return float(delta_error_all(disc, L, P)[k])
-
-
-def delta_error_all(disc: Discretization, L: float, P: float) -> np.ndarray:
+        raise CouplingError("delta_error_all requires rho_j = 2*L*P*h_j^2, j >= 1")
     return _delta_error_window(disc, L, P, 0, disc.n + 1)
 
 
 def _delta_error_window(
     disc: Discretization, L: float, P: float, a: int, b: int
 ) -> np.ndarray:
-    """delta_error at the subdivision indices a <= k < b."""
+    """delta_error_all at the subdivision indices a <= k < b."""
     T = disc.horizon
     lo = max(a, 1)
     h = disc.h[lo - 1 : b - 1]
@@ -143,15 +126,6 @@ class VolumeSplines:
         return self.v_R(t) * self.v_F(t)
 
 
-def cost_component(
-    disc: Discretization, splines: VolumeSplines, d_R: int, d_F: int, j: int
-) -> float:
-    """Predicted grid points computed when stepping from node j to j+1."""
-    if not 0 <= j <= disc.n - 1:
-        raise ValueError("cost component index out of range")
-    return float(cost_components(disc, splines, d_R, d_F)[j])
-
-
 def cost_estimate(
     disc: Discretization, splines: VolumeSplines, d_R: int, d_F: int
 ) -> float:
@@ -161,14 +135,15 @@ def cost_estimate(
 def cost_components(
     disc: Discretization, splines: VolumeSplines, d_R: int, d_F: int
 ) -> np.ndarray:
+    """Predicted grid points computed when stepping from node j to j+1."""
     rho = disc.rho
     return splines.v_RF(disc.t[:-1]) * disc.h**d_F / (rho[:-1] ** d_R * rho[1:] ** d_F)
 
 
-def delta_cost(
-    disc: Discretization, splines: VolumeSplines, d_R: int, d_F: int, k: int
-) -> float:
-    """Closed-form change of the cost estimate under subdivision at k.
+def delta_cost_all(
+    disc: Discretization, splines: VolumeSplines, d_R: int, d_F: int
+) -> np.ndarray:
+    """Closed-form change of the cost estimate under subdivision at each k.
 
     Only the (at most three) summands touching interval k change; with
     V(t) = v_R(t) * v_F(t) the middle branch is
@@ -180,21 +155,13 @@ def delta_cost(
     the last summand alone survives scaled variants at the boundary
     branches k = 0 and k = n.  Strictly positive for positive inputs.
     """
-    if not 0 <= k <= disc.n:
-        raise ValueError("subdivision index out of range")
-    return float(_delta_cost_window(disc, splines, d_R, d_F, k, k + 1)[0])
-
-
-def delta_cost_all(
-    disc: Discretization, splines: VolumeSplines, d_R: int, d_F: int
-) -> np.ndarray:
     return _delta_cost_window(disc, splines, d_R, d_F, 0, disc.n + 1)
 
 
 def _delta_cost_window(
     disc: Discretization, splines: VolumeSplines, d_R: int, d_F: int, a: int, b: int
 ) -> np.ndarray:
-    """delta_cost at the subdivision indices a <= k < b.
+    """delta_cost_all at the subdivision indices a <= k < b.
 
     Every entry is the same elementwise expression whatever the window, so
     a window matches the full array bit for bit.
@@ -221,24 +188,19 @@ def _delta_cost_window(
     return out
 
 
-def greedy_select(
-    disc: Discretization,
-    L: float,
-    P: float,
-    splines: VolumeSplines,
-    d_R: int,
-    d_F: int,
-) -> int:
-    """Index with maximal predicted error decrease per predicted cost.
-
-    Ties go to the smallest index so refinement paths are reproducible.
-    """
-    ratios = -delta_error_all(disc, L, P) / delta_cost_all(disc, splines, d_R, d_F)
-    return int(np.argmax(ratios))
-
-
 # ---------------------------------------------------------------------------
 # solvers
+
+
+def check_tolerances(tolerances: list[float], name: str = "ladder") -> None:
+    """Raise ValueError unless the tolerances are nonempty, finite, positive
+    and strictly decreasing; name goes into the message."""
+    if not tolerances:
+        raise ValueError(f"{name} must be nonempty")
+    if not all(math.isfinite(e) and e > 0 for e in tolerances):
+        raise ValueError(f"{name} must be positive and finite")
+    if any(b >= a for a, b in zip(tolerances, tolerances[1:])):
+        raise ValueError(f"{name} must be strictly decreasing")
 
 
 def uniform_step_count(system: SystemSpec, eps: float) -> int:
@@ -248,8 +210,7 @@ def uniform_step_count(system: SystemSpec, eps: float) -> int:
     over the step terms collapses), so n is the least m with
     m^2 eps - m (e^{LT}-1)(PT + T/(2L)) - T^2 (e^{LT} - 1/2) >= 0.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_tolerances([eps], "eps")
     L, P, T = system.lipschitz, system.bound, system.horizon
     a = math.expm1(L * T) * (P * T + T / (2.0 * L))
     b = T * T * (math.exp(L * T) - 0.5)
@@ -257,7 +218,10 @@ def uniform_step_count(system: SystemSpec, eps: float) -> int:
     def ok(m: int) -> bool:
         return m * m * eps - m * a - b >= 0.0
 
-    n = max(1, math.ceil((a + math.sqrt(a * a + 4.0 * eps * b)) / (2.0 * eps)))
+    root = (a + math.sqrt(a * a + 4.0 * eps * b)) / (2.0 * eps)
+    if not root <= 2**53:  # floats miscount past 2**53; inf if a or b overflowed
+        raise ResourceCapError(None, root, 2**53, "uniform steps")
+    n = max(1, math.ceil(root))
     while not ok(n):
         n += 1
     while n > 1 and ok(n - 1):
@@ -295,7 +259,6 @@ class ThresholdRecord:
     record: RunRecord
     planning_splines: VolumeSplines | None  # splines the run was planned with
     cost_cumulative: int
-    time_reach: float
     time_refine: float
 
 
@@ -308,8 +271,7 @@ class RefinementTrace:
 def default_ladder(e_initial: float, eps: float) -> list[float]:
     """Geometric halving from the first power of two below the initial
     error bound down to the target tolerance, inclusive."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_tolerances([eps], "eps")
     a = math.floor(math.log2(e_initial))
     if 2.0**a >= e_initial:
         a -= 1
@@ -335,11 +297,7 @@ def algorithm_adaptive(
     plans with.  Returns the final discretization with error bound
     <= ladder[-1], its run, and the full trace.
     """
-    if not ladder or any(e <= 0 for e in ladder):
-        raise ValueError("ladder must be nonempty and positive")
-    if any(ladder[i + 1] >= ladder[i] for i in range(len(ladder) - 1)):
-        raise ValueError("ladder must be strictly decreasing")
-
+    check_tolerances(ladder)
     L, P = system.lipschitz, system.bound
     d_R, d_F = system.d_R, system.d_F
     disc = initial_discretization(system.horizon, L, P)
@@ -357,6 +315,8 @@ def algorithm_adaptive(
             de = delta_error_all(disc, L, P)
             dc = delta_cost_all(disc, splines, d_R, d_F)
             while err > eps:
+                # argmax takes the first maximum: ties go to the smallest
+                # index, so refinement paths are reproducible
                 k = int(np.argmax(-de / dc))
                 delta_e, delta_c = float(de[k]), float(dc[k])
                 ratio = float(-de[k] / dc[k])
@@ -377,8 +337,7 @@ def algorithm_adaptive(
         cumulative += record.cost_total
         trace.thresholds.append(ThresholdRecord(
             ell=ell, eps=eps, record=record, planning_splines=splines,
-            cost_cumulative=cumulative, time_reach=time.perf_counter() - t1,
-            time_refine=t1 - t0,
+            cost_cumulative=cumulative, time_refine=t1 - t0,
         ))
         splines = VolumeSplines.from_run(record)
 

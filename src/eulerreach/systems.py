@@ -112,8 +112,8 @@ def make_exponential_system(d: int, L: float) -> SystemSpec:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
-    if L < 0:
-        raise ValueError("L must be nonnegative")
+    if not 0 <= L <= 700:  # P = L * exp(L) overflows past L = 703.2
+        raise ValueError("L must lie in [0, 700]")
 
     def rhs_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = 0.9 * L * x

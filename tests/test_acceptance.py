@@ -26,10 +26,9 @@ from eulerreach.refine import (
     algorithm_uniform,
     cost_estimate,
     default_ladder,
-    delta_cost,
-    delta_error,
+    delta_cost_all,
+    delta_error_all,
     error_components,
-    error_partial_sums,
     error_total,
     estimator_relative_error,
 )
@@ -180,7 +179,7 @@ def test_criterion_4_error_bound_soundness(adaptive_cells, uniform_d1):
 
     def audit(system, disc, record):
         nonlocal violations, checked
-        bounds = error_partial_sums(disc, system.lipschitz, system.bound)
+        bounds = np.cumsum(error_components(disc, system.lipschitz, system.bound))
         for k in range(disc.n + 1):
             exact = exact_reachable_box(system, disc.t[k])
             dist = hausdorff_to_box_two_sided(record.sets[k], exact)
@@ -222,9 +221,9 @@ def test_criterion_5_closed_form_delta_oracles():
         e = error_total(disc, L, P)
         c = cost_estimate(disc, splines, d_R, d_F)
         comp = error_components(disc, L, P)
-        for k in range(disc.n + 1):
-            de = delta_error(disc, L, P, k)
-            dc = delta_cost(disc, splines, d_R, d_F, k)
+        all_de = delta_error_all(disc, L, P)
+        all_dc = delta_cost_all(disc, splines, d_R, d_F)
+        for k, (de, dc) in enumerate(zip(all_de, all_dc)):
             sub = subdivide(disc, k)
             ok &= abs(de - (error_total(sub, L, P) - e)) <= 1e-10 * abs(e)
             ok &= (

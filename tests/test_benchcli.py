@@ -427,6 +427,23 @@ class TestMainExitCodes:
         ) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
 
+    @pytest.mark.parametrize("flags,code", [
+        (["--L", "800"], EXIT_CONFIG),
+        (["--eps", "1e-300"], EXIT_RESOURCE),
+        (["--L", "700", "--eps", "1e300"], EXIT_RESOURCE),
+    ], ids=["L800", "eps1e-300", "L700-eps1e300"])
+    def test_bad_input_exits_without_traceback(self, tmp_path, flags, code):
+        out = subprocess.run(
+            [sys.executable, "-m", "eulerreach.benchcli", "run-uniform", *flags,
+             "--out", str(tmp_path / "o")],
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert out.returncode == code
+        assert "Traceback" not in out.stderr
+        prefix = "config error:" if code == EXIT_CONFIG else "resource cap:"
+        assert out.stderr.startswith(prefix)
+
     def test_resource_cap(self, tmp_path):
         code = main(
             ["run-uniform", "--d", "2", "--L", "2", "--eps", "0.5",

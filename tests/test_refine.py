@@ -10,25 +10,21 @@ from eulerreach.discretization import (
     uniform_discretization,
     Discretization,
 )
-from eulerreach.errors import CouplingError, InvariantViolation
+from eulerreach.errors import CouplingError, InvariantViolation, ResourceCapError
+from eulerreach import refine
 from eulerreach.refine import (
     VolumeSplines,
     algorithm_adaptive,
     algorithm_uniform,
-    cost_component,
     cost_components,
     cost_estimate,
+    check_tolerances,
     default_ladder,
-    delta_cost,
     delta_cost_all,
-    delta_error,
     delta_error_all,
-    error_component,
     error_components,
-    error_partial_sums,
     error_total,
     estimator_relative_error,
-    greedy_select,
     uniform_step_count,
     _update_deltas,
 )
@@ -48,40 +44,24 @@ class TestErrorBound:
         # L = P = T = 1: rho_0 = 2, so the node-0 term is e and the single
         # step term is (e - 1)(1 + 1 + 1)
         disc = initial_discretization(1.0, 1.0, 1.0)
-        assert error_component(disc, 1.0, 1.0, 0) == pytest.approx(E)
-        assert error_component(disc, 1.0, 1.0, 1) == pytest.approx(3 * (E - 1))
-        assert error_total(disc, 1.0, 1.0) == pytest.approx(4 * E - 3)
-
-    def test_components_vector_matches_scalar(self):
-        disc = subdivide(subdivide(initial_discretization(1.0, 2.0, 0.5), 1), 2)
-        comp = error_components(disc, 2.0, 0.5)
-        for j in range(disc.n + 1):
-            assert comp[j] == pytest.approx(error_component(disc, 2.0, 0.5, j))
-
-    def test_partial_sums(self):
-        disc = subdivide(initial_discretization(1.0, 1.0, 1.0), 1)
-        ps = error_partial_sums(disc, 1.0, 1.0)
         comp = error_components(disc, 1.0, 1.0)
-        assert np.allclose(ps, np.cumsum(comp))
-        assert ps[-1] == pytest.approx(error_total(disc, 1.0, 1.0))
-
-    def test_index_out_of_range(self):
-        disc = initial_discretization(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            error_component(disc, 1.0, 1.0, 2)
+        assert comp[0] == pytest.approx(E)
+        assert comp[1] == pytest.approx(3 * (E - 1))
+        assert error_total(disc, 1.0, 1.0) == pytest.approx(4 * E - 3)
 
 
 class TestDeltaError:
     def test_initial_values(self):
         disc = initial_discretization(1.0, 1.0, 1.0)
         # quartering rho_0 = 2 changes the node-0 term by -3/8 * e * 2
-        assert delta_error(disc, 1.0, 1.0, 0) == pytest.approx(-0.75 * E)
-        assert delta_error(disc, 1.0, 1.0, 1) == pytest.approx(-1.75 * (E - 1))
+        de = delta_error_all(disc, 1.0, 1.0)
+        assert de[0] == pytest.approx(-0.75 * E)
+        assert de[1] == pytest.approx(-1.75 * (E - 1))
 
     def test_requires_coupling(self):
         disc = uniform_discretization(1.0, 4)  # rho = h^2, not 2*L*P*h^2
         with pytest.raises(CouplingError):
-            delta_error(disc, 1.0, 1.0, 1)
+            delta_error_all(disc, 1.0, 1.0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_recomputation(self, seed):
@@ -91,8 +71,7 @@ class TestDeltaError:
         for _ in range(int(rng.integers(3, 15))):
             disc = subdivide(disc, int(rng.integers(0, disc.n + 1)))
         e = error_total(disc, L, P)
-        for k in range(disc.n + 1):
-            de = delta_error(disc, L, P, k)
+        for k, de in enumerate(delta_error_all(disc, L, P)):
             assert de == pytest.approx(
                 error_total(subdivide(disc, k), L, P) - e, rel=1e-10, abs=1e-12 * e
             )
@@ -135,17 +114,8 @@ class TestCostEstimator:
         # h = 1/2, rho = 1 everywhere, V = 1: each step predicts h/1 = 1/2
         disc = Discretization(1.0, (0.5, 0.5), (0.0, 0.5, 1.0), (1.0, 1.0, 1.0))
         s = _flat_splines()
-        assert cost_component(disc, s, 1, 1, 0) == pytest.approx(0.5)
+        assert cost_components(disc, s, 1, 1)[0] == pytest.approx(0.5)
         assert cost_estimate(disc, s, 1, 1) == pytest.approx(1.0)
-
-    def test_components_match_scalar(self):
-        disc = subdivide(subdivide(initial_discretization(1.0, 1.0, 1.0), 1), 1)
-        s = VolumeSplines(
-            np.array([0.0, 1.0]), np.array([1.0, 5.0]), np.array([2.0, 1.0])
-        )
-        comp = cost_components(disc, s, 2, 1)
-        for j in range(disc.n):
-            assert comp[j] == pytest.approx(cost_component(disc, s, 2, 1, j))
 
     def test_exact_on_own_run(self):
         system = make_exponential_system(1, 1.0)
@@ -166,7 +136,7 @@ class TestDeltaCost:
         # V = 1, d_R = d_F = 1: quartering rho_0 = 1 multiplies the first
         # summand h_0 / (rho_0 * rho_1) = 1/2 by 4, a change of +3/2
         disc = Discretization(1.0, (0.5, 0.5), (0.0, 0.5, 1.0), (1.0, 1.0, 1.0))
-        assert delta_cost(disc, _flat_splines(), 1, 1, 0) == pytest.approx(1.5)
+        assert delta_cost_all(disc, _flat_splines(), 1, 1)[0] == pytest.approx(1.5)
 
     @pytest.mark.parametrize("d_R,d_F", [(1, 1), (2, 2), (2, 1), (3, 2)])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -181,26 +151,13 @@ class TestDeltaCost:
             rng.uniform(0.5, 4.0, size=3),
         )
         c = cost_estimate(disc, s, d_R, d_F)
-        for k in range(disc.n + 1):
-            dc = delta_cost(disc, s, d_R, d_F, k)
+        for k, dc in enumerate(delta_cost_all(disc, s, d_R, d_F)):
             assert dc == pytest.approx(
                 cost_estimate(subdivide(disc, k), s, d_R, d_F) - c,
                 rel=1e-10,
                 abs=1e-12 * c,
             )
             assert dc > 0.0
-
-    def test_all_matches_scalar(self):
-        disc = subdivide(subdivide(initial_discretization(1.0, 1.0, 1.0), 1), 2)
-        s = _flat_splines(3.0)
-        all_dc = delta_cost_all(disc, s, 2, 1)
-        for k in range(disc.n + 1):
-            assert all_dc[k] == pytest.approx(delta_cost(disc, s, 2, 1, k))
-
-    def test_index_out_of_range(self):
-        disc = initial_discretization(1.0, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            delta_cost(disc, _flat_splines(), 1, 1, 2)
 
 
 class TestLocalDeltaUpdates:
@@ -229,21 +186,6 @@ class TestLocalDeltaUpdates:
             assert np.array_equal(de, delta_error_all(disc, L, P))
             assert np.array_equal(dc, delta_cost_all(disc, s, d_R, d_F))
         assert seen == {"0", "n", "inner"}
-
-
-class TestGreedySelect:
-    def test_consistent_with_manual_argmax(self):
-        rng = np.random.default_rng(17)
-        L, P = 1.0, 1.0
-        disc = initial_discretization(1.0, L, P)
-        s = VolumeSplines(
-            np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([1.5, 1.0])
-        )
-        for _ in range(15):
-            ratios = -delta_error_all(disc, L, P) / delta_cost_all(disc, s, 1, 1)
-            k = greedy_select(disc, L, P, s, 1, 1)
-            assert k == int(np.argmax(ratios))
-            disc = subdivide(disc, k)
 
 
 class TestUniformSolver:
@@ -278,6 +220,17 @@ class TestUniformSolver:
         with pytest.raises(ValueError):
             uniform_step_count(make_exponential_system(1, 1.0), 0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps(self, eps):
+        with pytest.raises(ValueError):
+            uniform_step_count(make_exponential_system(1, 1.0), eps)
+
+    @pytest.mark.parametrize("L,eps", [(1.0, 1e-300), (700.0, 1e300)])
+    def test_step_count_over_cap(self, L, eps):
+        # the needed n is about 5.5e300, or inf when its coefficients overflow
+        with pytest.raises(ResourceCapError):
+            uniform_step_count(make_exponential_system(1, L), eps)
+
 
 class TestLadder:
     def test_powers_of_two_down_to_target(self):
@@ -292,6 +245,26 @@ class TestLadder:
     def test_invalid(self):
         with pytest.raises(ValueError):
             default_ladder(1.0, 0.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_eps(self, eps):
+        with pytest.raises(ValueError):
+            default_ladder(1.0, eps)
+
+
+class TestCheckTolerances:
+    @pytest.mark.parametrize("ladder", [[4.0, 2.0, 0.5], [1e-300], [1e300, 1.0]])
+    def test_accepts(self, ladder):
+        check_tolerances(ladder)
+
+    @pytest.mark.parametrize(
+        "ladder",
+        [[], [0.0], [-1.0], [math.nan], [math.inf], [math.inf, 1.0],
+         [1.0, math.nan], [1.0, 1.0], [1.0, 2.0]],
+    )
+    def test_rejects(self, ladder):
+        with pytest.raises(ValueError):
+            check_tolerances(ladder)
 
 
 class TestAdaptiveSolver:
@@ -344,3 +317,12 @@ class TestAdaptiveSolver:
             algorithm_adaptive(system, [1.0, 2.0])
         with pytest.raises(ValueError):
             algorithm_adaptive(system, [1.0, -1.0])
+
+    @pytest.mark.parametrize("ladder", [[1.0, math.nan], [math.inf, 1.0]])
+    def test_non_finite_ladder_rejected_before_any_run(self, ladder, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("Euler ran on an invalid ladder")
+
+        monkeypatch.setattr(refine, "euler_run", no_run)
+        with pytest.raises(ValueError):
+            algorithm_adaptive(make_exponential_system(1, 1.0), ladder)

@@ -81,6 +81,12 @@ class TestExponentialSystem:
         with pytest.raises(ValueError):
             make_exponential_system(1, -1.0)
 
+    @pytest.mark.parametrize("L", [701.0, 800.0, math.inf, math.nan])
+    def test_overflowing_bound_rejected(self, L):
+        # L is capped at 700; P = L * exp(L) overflows past L = 703.2
+        with pytest.raises(ValueError):
+            make_exponential_system(1, L)
+
     def test_wrong_state_length(self):
         system = make_exponential_system(2, 1.0)
         with pytest.raises(ValueError):
