@@ -24,10 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import refine
-from .discretization import dyadic_invariants_ok
+from .discretization import dyadic_invariants_ok, error_components, error_total
 from .errors import ConfigError, InvariantViolation, ResourceCapError
-from .euler import RunRecord
-from .lattice import DEFAULT_CAP
+from .euler import DEFAULT_CAP, RunRecord
 from .refine import (
     RefinementTrace,
     VolumeSplines,
@@ -35,8 +34,6 @@ from .refine import (
     algorithm_uniform,
     check_tolerances,
     default_ladder,
-    error_components,
-    error_total,
     estimator_relative_error,
 )
 from .systems import SystemSpec, make_exponential_system, make_michaelis_menten
@@ -119,7 +116,7 @@ def build_system(config: ExperimentConfig) -> SystemSpec:
 
 def metric_sigma(record: RunRecord) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative normalized error and cost profiles (both end at 1)."""
-    comp = error_components(record.disc, record.lipschitz, record.bound)
+    comp = error_components(record.disc, record.system.lipschitz, record.system.bound)
     sigma_e = np.cumsum(comp) / comp.sum()
     cs = np.cumsum(np.asarray(record.cost_exact, dtype=float))
     total = cs[-1]
@@ -276,7 +273,8 @@ def run_experiment(config: ExperimentConfig) -> int:
 def selftest(seed: int = 0, verbose: bool = True) -> int:
     """Quick invariant suites; returns 0 or raises InvariantViolation."""
     from .discretization import initial_discretization, subdivide
-    from .lattice import hausdorff_to_box, project_box
+    from .euler import project_box
+    from .lattice import hausdorff_to_box
     from .systems import Box
 
     rng = np.random.default_rng(seed)

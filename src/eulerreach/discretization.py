@@ -14,6 +14,7 @@ point (all involved values are dyadic rationals).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,28 @@ def subdivide(disc: Discretization, j: int) -> Discretization:
         lv = disc.levels[j - 1] + 1
         levels = np.concatenate((disc.levels[: j - 1], (lv, lv), disc.levels[j:]))
     return Discretization(disc.horizon, h, t, rho, levels)
+
+
+def error_components(disc: Discretization, L: float, P: float) -> np.ndarray:
+    """All n+1 per-node contributions to the a-priori error bound.
+
+    Index 0 carries the initial projection error exp(L*T) * rho_0 / 2;
+    index j >= 1 carries the local step error
+    exp(L*(T - t_j)) * (exp(L*h_j) - 1) * (P*h_j + rho_j/2 + rho_j/(2*L*h_j)).
+    """
+    T = disc.horizon
+    h = disc.h
+    t = disc.t[1:]
+    rho = disc.rho[1:]
+    # expm1 keeps the factor accurate for steps as small as 2**-20 * T
+    tail = np.exp(L * (T - t)) * np.expm1(L * h) * (
+        P * h + rho / 2.0 + rho / (2.0 * L * h)
+    )
+    return np.concatenate(([math.exp(L * T) * disc.rho[0] / 2.0], tail))
+
+
+def error_total(disc: Discretization, L: float, P: float) -> float:
+    return float(error_components(disc, L, P).sum())
 
 
 def coupling_satisfied(disc: Discretization, L: float, P: float) -> bool:

@@ -16,10 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import Discretization
+from .discretization import Discretization, error_total
 from .errors import InvariantViolation, ResourceCapError
-from .lattice import DEFAULT_CAP, LatticeSet, lattice_range, project_box, union_of_boxes
-from .systems import SystemSpec
+from .lattice import LatticeSet, lattice_range, union_of_boxes
+from .systems import Box, SystemSpec
+
+# default cap on the projected points of one step, which also bounds the
+# size of the set they build; configurations beyond it abort with a
+# ResourceCapError
+DEFAULT_CAP = 50_000_000
 
 
 @dataclass(frozen=True)
@@ -32,6 +37,7 @@ class RunRecord:
     entries each, with the last image volume copied from its neighbor).
     """
 
+    system: SystemSpec
     disc: Discretization
     sets: tuple[LatticeSet, ...]
     cost_exact: tuple[int, ...]
@@ -39,10 +45,6 @@ class RunRecord:
     vhat_F: tuple[float, ...]
     error_bound: float
     wall_time: float
-    lipschitz: float
-    bound: float
-    d_R: int
-    d_F: int
 
     @property
     def cost_total(self) -> int:
@@ -53,14 +55,18 @@ class RunRecord:
         return tuple(s.cardinality for s in self.sets)
 
 
+def project_box(b: Box, rho: float, cap: int = DEFAULT_CAP) -> LatticeSet:
+    """Project a box onto the lattice rho * Z^d (never empty)."""
+    lo, hi = lattice_range(b.lower[None, :], b.upper[None, :], rho)
+    return _project(lo, hi, rho, cap, step=0)[0]
+
+
 def euler_run(
     system: SystemSpec,
     disc: Discretization,
     cap: int = DEFAULT_CAP,
 ) -> RunRecord:
     """Run the Euler recursion (deterministic)."""
-    from .refine import error_total
-
     if abs(disc.horizon - system.horizon) > 1e-9 * system.horizon:
         raise ValueError("discretization horizon does not match the system")
     t0 = time.perf_counter()
@@ -83,19 +89,15 @@ def euler_run(
         vhat_F.append((cost / src.cardinality) * (rho[k + 1] / h) ** system.d_F)
     vhat_F.append(vhat_F[-1])
 
-    bound = error_total(disc, system.lipschitz, system.bound)
     return RunRecord(
+        system=system,
         disc=disc,
         sets=tuple(sets),
         cost_exact=tuple(cost_exact),
         vhat_R=tuple(vhat_R),
         vhat_F=tuple(vhat_F),
-        error_bound=bound,
+        error_bound=error_total(disc, system.lipschitz, system.bound),
         wall_time=time.perf_counter() - t0,
-        lipschitz=system.lipschitz,
-        bound=system.bound,
-        d_R=system.d_R,
-        d_F=system.d_F,
     )
 
 
@@ -117,22 +119,27 @@ def _step(
             "inverted image boxes"
         )
     lo_idx, hi_idx = lattice_range(x + h * f_lo, x + h * f_hi, rho_next)
+    # The set outlives the step: free the temporaries before the union
+    # allocates it, so that it fills their space instead of landing above
+    # them and leaving holes too small for the next, larger step.
+    del x, f_lo, f_hi, ok
+    return _project(lo_idx, hi_idx, rho_next, cap, step)
+
+
+def _project(
+    lo_idx: np.ndarray, hi_idx: np.ndarray, rho: float, cap: int, step: int
+) -> tuple[LatticeSet, int]:
+    """The lattice set covered by the (N, d) index boxes [lo_idx, hi_idx]
+    and their summed sizes, the cost count.  Raises ResourceCapError when
+    that count exceeds cap; the union has at most that many points."""
     # one contiguous row of box sizes per axis; the products run over the
     # axes in order, as a per-box product would
     sizes = np.ascontiguousarray((hi_idx - lo_idx).T)
     sizes += 1
-
     # guard in float first: the int64 counts can overflow in infeasible cells
     projected = float(np.multiply.reduce(sizes.astype(float)).sum())
     if projected > cap:
         raise ResourceCapError(step=step, projected=projected, cap=cap)
     cost = int(np.multiply.reduce(sizes).sum())
-
-    # The set outlives the step: free the temporaries before the union
-    # allocates it, so that it fills their space instead of landing above
-    # them and leaving holes too small for the next, larger step.
-    del x, f_lo, f_hi, ok, sizes
-    pts = union_of_boxes(lo_idx, hi_idx)
-    if pts.shape[0] > cap:
-        raise ResourceCapError(step=step, projected=float(pts.shape[0]), cap=cap)
-    return LatticeSet(rho_next, pts), cost
+    del sizes
+    return LatticeSet(rho, union_of_boxes(lo_idx, hi_idx)), cost

@@ -23,10 +23,6 @@ from .systems import Box
 # relative inflation applied to index quotients at range boundaries
 BOUNDARY_GUARD = 1e-12
 
-# default cap on the projected points of one step and on each set's size;
-# configurations beyond it abort with a ResourceCapError
-DEFAULT_CAP = 50_000_000
-
 # largest grid union_of_boxes rasters at once, in cells (32 MiB of int64
 # counters); larger grids are split
 RASTER_BUDGET = 1 << 22
@@ -174,19 +170,6 @@ def _is_sorted_unique(pts: np.ndarray) -> bool:
     for c in range(pts.shape[1] - 2, -1, -1):
         res = (a[:, c] > b[:, c]) | ((a[:, c] == b[:, c]) & res)
     return bool(res.all())
-
-
-def project_box(b: Box, rho: float, cap: int = DEFAULT_CAP) -> LatticeSet:
-    """Project a box onto the lattice rho * Z^d (never empty)."""
-    from .errors import ResourceCapError
-
-    lo, hi = lattice_range(b.lower, b.upper, rho)
-    count = 1.0
-    for a, z in zip(lo, hi):
-        count *= float(z - a + 1)
-    if count > cap:
-        raise ResourceCapError(step=0, projected=count, cap=cap)
-    return LatticeSet(rho, union_of_boxes(lo[None, :], hi[None, :]))
 
 
 def hausdorff_to_box(A: LatticeSet, b: Box) -> float:

@@ -19,39 +19,18 @@ import numpy as np
 from .discretization import (
     Discretization,
     coupling_satisfied,
+    error_components,
+    error_total,
     initial_discretization,
     subdivide,
     uniform_discretization,
 )
 from .errors import CouplingError, InvariantViolation, ResourceCapError
-from .euler import RunRecord, euler_run
-from .lattice import DEFAULT_CAP
+from .euler import DEFAULT_CAP, RunRecord, euler_run
 from .systems import SystemSpec
 
 # ---------------------------------------------------------------------------
 # error bound
-
-
-def error_components(disc: Discretization, L: float, P: float) -> np.ndarray:
-    """All n+1 per-node contributions to the a-priori error bound.
-
-    Index 0 carries the initial projection error exp(L*T) * rho_0 / 2;
-    index j >= 1 carries the local step error
-    exp(L*(T - t_j)) * (exp(L*h_j) - 1) * (P*h_j + rho_j/2 + rho_j/(2*L*h_j)).
-    """
-    T = disc.horizon
-    h = disc.h
-    t = disc.t[1:]
-    rho = disc.rho[1:]
-    # expm1 keeps the factor accurate for steps as small as 2**-20 * T
-    tail = np.exp(L * (T - t)) * np.expm1(L * h) * (
-        P * h + rho / 2.0 + rho / (2.0 * L * h)
-    )
-    return np.concatenate(([math.exp(L * T) * disc.rho[0] / 2.0], tail))
-
-
-def error_total(disc: Discretization, L: float, P: float) -> float:
-    return float(error_components(disc, L, P).sum())
 
 
 def delta_error_all(disc: Discretization, L: float, P: float) -> np.ndarray:
@@ -368,6 +347,6 @@ def _update_deltas(
 
 def estimator_relative_error(record: RunRecord, splines: VolumeSplines) -> float:
     """Total relative mismatch between predicted and exact per-step costs."""
-    predicted = cost_components(record.disc, splines, record.d_R, record.d_F)
+    predicted = cost_components(record.disc, splines, record.system.d_R, record.system.d_F)
     exact = np.asarray(record.cost_exact, dtype=float)
     return float(np.abs(predicted - exact).sum() / exact.sum())

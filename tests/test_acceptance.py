@@ -19,7 +19,8 @@ from eulerreach.discretization import (
     subdivide,
 )
 from eulerreach.errors import ResourceCapError
-from eulerreach.lattice import hausdorff_to_box, hausdorff_to_box_two_sided, project_box
+from eulerreach.euler import project_box
+from eulerreach.lattice import hausdorff_to_box, hausdorff_to_box_two_sided
 from eulerreach.refine import (
     VolumeSplines,
     algorithm_adaptive,

@@ -94,7 +94,7 @@ class TestEulerRun:
     def test_michaelis_menten_runs(self):
         system = make_michaelis_menten()
         record = euler_run(system, uniform_discretization(1.0, 10))
-        assert record.d_R == 2 and record.d_F == 1
+        assert record.system.d_R == 2 and record.system.d_F == 1
         assert all(c > 0 for c in record.cost_exact)
 
 

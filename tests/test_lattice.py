@@ -7,12 +7,12 @@ import pytest
 
 from eulerreach import lattice
 from eulerreach.errors import ResourceCapError
+from eulerreach.euler import project_box
 from eulerreach.lattice import (
     LatticeSet,
     hausdorff_to_box,
     hausdorff_to_box_two_sided,
     lattice_range,
-    project_box,
     union_of_boxes,
 )
 from eulerreach.systems import Box
