@@ -270,7 +270,7 @@ def run_experiment(config: ExperimentConfig) -> int:
 # selftest
 
 
-def selftest(seed: int = 0, verbose: bool = True) -> int:
+def selftest(seed: int = 0) -> int:
     """Quick invariant suites; returns 0 or raises InvariantViolation."""
     from .discretization import initial_discretization, subdivide
     from .euler import project_box
@@ -280,8 +280,7 @@ def selftest(seed: int = 0, verbose: bool = True) -> int:
     rng = np.random.default_rng(seed)
 
     def check(name: str, ok: bool) -> None:
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'}: {name}")
+        print(f"{'PASS' if ok else 'FAIL'}: {name}")
         if not ok:
             raise InvariantViolation(name)
 

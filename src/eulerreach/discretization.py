@@ -14,11 +14,14 @@ point (all involved values are dyadic rationals).
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceCapError
 from .systems import CONSTANT_FLOOR
 
 
@@ -65,13 +68,24 @@ class Discretization:
 
 
 def initial_discretization(T: float, L: float, P: float) -> Discretization:
-    """Single-interval starting discretization with rho = 2*L*P*T^2 at both nodes."""
+    """Single-interval starting discretization with rho = 2*L*P*T^2 at both nodes.
+
+    Raises ResourceCapError when rho_0 or its error bound overflows a float.
+    """
     if T <= 0:
         raise ValueError("T must be positive")
     L = max(L, CONSTANT_FLOOR)
     P = max(P, CONSTANT_FLOOR)
     rho0 = 2.0 * L * P * T * T
-    return Discretization(T, (T,), (0.0, T), (rho0, rho0), levels=(0,))
+    e0 = math.inf
+    if math.isfinite(rho0):
+        disc = Discretization(T, (T,), (0.0, T), (rho0, rho0), levels=(0,))
+        # an overflowing bound comes out inf, or raises in math.exp(L*T)
+        with np.errstate(over="ignore"), contextlib.suppress(OverflowError):
+            e0 = error_total(disc, L, P)
+    if not math.isfinite(e0):
+        raise ResourceCapError(None, e0, sys.float_info.max, "initial error bound")
+    return disc
 
 
 def uniform_discretization(T: float, n: int) -> Discretization:

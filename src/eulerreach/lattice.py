@@ -6,9 +6,9 @@ box b to all lattice points within max-norm rho/2 of it, i.e. the per-axis
 index ranges ceil((lower - rho/2)/rho) .. floor((upper + rho/2)/rho).
 
 Boundary ties (points at distance exactly rho/2) belong to the closed
-ball and are included; index computation inflates the range endpoints by
-about one unit in the last place, which can admit at most one extra
-boundary layer.
+ball and are included; index computation widens each quotient q by
+BOUNDARY_GUARD * (|q| + 1), a relative 1e-12, which can admit at most one
+extra boundary layer.
 """
 
 from __future__ import annotations

@@ -82,8 +82,9 @@ class SystemSpec:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        for name in ("horizon", "lipschitz", "bound"):
+            if not 0.0 < getattr(self, name) < math.inf:  # also rejects nan
+                raise ValueError(f"{name} must be positive and finite")
         if not (1 <= self.d_R <= self.dimension):
             raise ValueError("d_R must satisfy 1 <= d_R <= d")
         if not (0 <= self.d_F <= self.dimension):

@@ -427,14 +427,19 @@ class TestMainExitCodes:
         ) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
 
-    @pytest.mark.parametrize("flags,code", [
-        (["--L", "800"], EXIT_CONFIG),
-        (["--eps", "1e-300"], EXIT_RESOURCE),
-        (["--L", "700", "--eps", "1e300"], EXIT_RESOURCE),
-    ], ids=["L800", "eps1e-300", "L700-eps1e300"])
-    def test_bad_input_exits_without_traceback(self, tmp_path, flags, code):
+    @pytest.mark.parametrize("argv,code", [
+        (["run-uniform", "--L", "800"], EXIT_CONFIG),
+        (["run-uniform", "--eps", "1e-300"], EXIT_RESOURCE),
+        (["run-uniform", "--L", "700", "--eps", "1e300"], EXIT_RESOURCE),
+        (["run-adaptive", "--L", "350"], EXIT_RESOURCE),
+        (["run-adaptive", "--L", "400"], EXIT_RESOURCE),
+        (["run-adaptive", "--L", "700"], EXIT_RESOURCE),
+        (["run-adaptive", "--L", "400", "--ladder", "1"], EXIT_RESOURCE),
+    ], ids=["L800", "eps1e-300", "L700-eps1e300", "adaptive-L350",
+            "adaptive-L400", "adaptive-L700", "adaptive-L400-ladder1"])
+    def test_bad_input_exits_without_traceback(self, tmp_path, argv, code):
         out = subprocess.run(
-            [sys.executable, "-m", "eulerreach.benchcli", "run-uniform", *flags,
+            [sys.executable, "-m", "eulerreach.benchcli", *argv,
              "--out", str(tmp_path / "o")],
             env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
             capture_output=True, text=True, timeout=60,

@@ -318,6 +318,13 @@ class TestAdaptiveSolver:
         with pytest.raises(ValueError):
             algorithm_adaptive(system, [1.0, -1.0])
 
+    @pytest.mark.parametrize("L", [400.0, 700.0])
+    def test_overflowing_start_hits_the_cap(self, L):
+        # rho_0 = 2*L*P*T^2 (L = 700) or its error bound (L = 400) is inf;
+        # filterwarnings = error also proves no overflow warning is emitted
+        with pytest.raises(ResourceCapError):
+            algorithm_adaptive(make_exponential_system(1, L), [1.0])
+
     @pytest.mark.parametrize("ladder", [[1.0, math.nan], [math.inf, 1.0]])
     def test_non_finite_ladder_rejected_before_any_run(self, ladder, monkeypatch):
         def no_run(*args, **kwargs):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -192,6 +193,17 @@ class TestExactReachableBox:
 
 
 class TestSystemSpecValidation:
+    @pytest.mark.parametrize("name,value", [
+        ("lipschitz", 0.0), ("lipschitz", -1.0), ("lipschitz", math.nan),
+        ("lipschitz", math.inf), ("bound", 0.0), ("bound", math.nan),
+        ("bound", math.inf), ("horizon", math.nan), ("horizon", math.inf),
+        ("horizon", 0.0),
+    ])
+    def test_rejects_impossible_constant(self, name, value):
+        system = make_exponential_system(1, 1.0)
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(system, **{name: value})
+
     def test_bad_dr(self):
         system = make_exponential_system(2, 1.0)
         with pytest.raises(ValueError):
