@@ -305,6 +305,9 @@ class TestRunExperiment:
                                "michaelis_menten", "--d", "1", "--ladder",
                                "0.5,0.25,0.125"],
         "compare-exponential-2": ["compare", "--d", "2", "--eps", "0.25"],
+        # d = 1 and d = 3 give the volume exponents (1, 1) and (3, 3)
+        "compare-exponential-1": ["compare", "--d", "1", "--eps", "0.0625"],
+        "compare-exponential-3": ["compare", "--d", "3", "--eps", "0.5"],
         "sweep-michaelis_menten": ["sweep", "--system", "michaelis_menten",
                                    "--eps-list", "0.5,0.25"],
     }
@@ -345,6 +348,32 @@ class TestRunExperiment:
             "stepsizes_uniform.csv": "12213b29ef428dbec3119677e39c717279b68c81f8e38b8f83d261abdc77be1f",
             "summary.txt": "a3bf2257724403fe397c9b9d07b2e03c873ed34da61d2f42f4dadc9245e77ee6",
             "thresholds.csv": "5d802d62d7ee360ebef8c4b13b6f2de7c79df3952ebe13987966bf1179e92a04",
+        },
+        "compare-exponential-1": {
+            "comparison.csv": "180f3eddc5a49ed15b615acfff8d3147c7495121032d1f66dfbc91fc0c608d10",
+            "config.txt": "fd68627d2678aa56523a55bd9ad44ad77af13ac1941ec61c7b8ed385e201c087",
+            "iterations.csv": "f11e3ea3c33668a843150ceb5097eaabec64de4f6886db367959367e890c9cf2",
+            "sigma_adaptive.csv": "6ba8875cd70a96e89e4768b061b780053c3f3873bcd4177c8f588100e73ef30a",
+            "sigma_uniform.csv": "7ee28eb44dfdd688fafe6a16f49c63b7635519c4ef120fd9dc58396c3148b9f2",
+            "steps_adaptive.csv": "6849391f683ed72698ddee895291419e93b0461f9f662608f43a42355b6ec7ba",
+            "steps_uniform.csv": "6797b2c4bf0a1598f079044413035bf8e3f8352a6f574bd32a85bf401ab5a543",
+            "stepsizes_adaptive.csv": "0ababf892d04eb7f564ea16d04067cea9d4952faabdc092d0075cbd0ed0526a7",
+            "stepsizes_uniform.csv": "20c9dfc17764440b95bd28ed1b159823b16f36686f41cb35b0d7229c8d0c645b",
+            "summary.txt": "9147f031504174e6ea1b913a2bd9b2304b4dc5d3c4a30ee9622bc0471552a05f",
+            "thresholds.csv": "f8c573d9d62b266ec8a6b667ea9ee77ba6921fb29684ea20bdf3535e4da760b4",
+        },
+        "compare-exponential-3": {
+            "comparison.csv": "740fdb9bbfdaed8b4900c8df37f728851c41980cd1efcaf89311c9f887e2ba83",
+            "config.txt": "55a2724448af09206a22f69a40080da2d5710332e234a68a970c254b946b4edd",
+            "iterations.csv": "24e343bccae7f69b8fb1221134fb924a746e4b13345c170a842c8d88bab04f43",
+            "sigma_adaptive.csv": "150af5c147d356724846f07a3531334b5d3dacb3c9dbd92cce1bf1ef1e317ec3",
+            "sigma_uniform.csv": "c8068d05988f5bcc25924b2809074dbf0d57dd27b9e4f3828e78952225473097",
+            "steps_adaptive.csv": "7edd40a585162b2f971692fd70add9dc860492eff6b0af683917c0e4601f8612",
+            "steps_uniform.csv": "5a58b4e5f17132a4e138c743ae7c03a131d1302dda5987141b867c62b899b1b7",
+            "stepsizes_adaptive.csv": "3c626714664578fa86a0fb7323d2763631ddfd8d7d20deb50ccd26a69464d957",
+            "stepsizes_uniform.csv": "6c68e33ae7426ceeb29174715a36f12f3c2500aa57385490256a481b8696099e",
+            "summary.txt": "523b182c5a1e7a5e9e5e1ea300ff3ddf094edcd7020bd48608951c88f9154139",
+            "thresholds.csv": "7edaeaa18932fe976607aefaeefe9a279d76a08b15046315cf749f88f9d02a21",
         },
         "sweep-michaelis_menten": {
             "eps_0.25/comparison.csv": "ed5ef9fbcd6b725dc2b8b9b297401c39094ba7e5142af16bcbaf0a5809882089",
