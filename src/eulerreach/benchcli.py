@@ -81,8 +81,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if not np.isfinite(self.L):
             raise ConfigError("L must be finite")
-        if self.cap < MIN_CAP:
-            raise ConfigError(f"cap must be at least {MIN_CAP}")
+        if not MIN_CAP <= self.cap < 2**53:  # counts are exact below 2**53
+            raise ConfigError(f"cap must lie in [{MIN_CAP}, 2**53)")
         if self.d < 1:
             raise ConfigError("d must be >= 1")
         if self.workers < 1:
@@ -145,13 +145,14 @@ def _write_run(outdir: Path, name: str, record: RunRecord) -> None:
     """steps_, sigma_ and stepsizes_<name>.csv of one solver run."""
     disc = record.disc
     t, h, rho = disc.t, disc.h, disc.rho
+    volumes = VolumeSplines.from_run(record)
     _write_csv(
         outdir / f"steps_{name}.csv",
         ("j", "t_j", "h_j", "rho_j", "cardinality", "cost_j", "vhat_R", "vhat_F"),
         (
             [j, _fmt(t[j]), _fmt(h[j - 1]) if j >= 1 else "", _fmt(rho[j]),
              s.cardinality, record.cost_exact[j] if j < disc.n else "",
-             _fmt(record.vhat_R[j]), _fmt(record.vhat_F[j])]
+             _fmt(volumes.vR_values[j]), _fmt(volumes.vF_values[j])]
             for j, s in enumerate(record.sets)
         ),
     )
@@ -175,19 +176,21 @@ def _write_trace(outdir: Path, trace: RefinementTrace) -> None:
         ("m", "k_m", "n_m", "delta_E", "delta_C", "ratio", "E"),
         (
             [it.m, it.k, it.n_after, _fmt(it.delta_e), _fmt(it.delta_c),
-             _fmt(it.ratio), _fmt(it.error_after)]
+             _fmt(-it.delta_e / it.delta_c), _fmt(it.error_after)]
             for it in trace.iterations
         ),
     )
+    # each run after the first was planned with the volumes of the one before
+    planned = [None, *trace.thresholds]
     _write_csv(
         outdir / "thresholds.csv",
         ("ell", "eps", "n", "E", "cost_final", "cost_cumulative", "delta_C_metric"),
         (
             [th.ell, "" if th.eps is None else _fmt(th.eps), th.record.disc.n,
              _fmt(th.record.error_bound), th.record.cost_total, th.cost_cumulative,
-             "" if th.planning_splines is None
-             else _fmt(estimator_relative_error(th.record, th.planning_splines))]
-            for th in trace.thresholds
+             "" if prev is None else _fmt(estimator_relative_error(
+                 th.record, VolumeSplines.from_run(prev.record)))]
+            for prev, th in zip(planned, trace.thresholds)
         ),
     )
 

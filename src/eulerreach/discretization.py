@@ -27,25 +27,19 @@ from .systems import CONSTANT_FLOOR
 
 @dataclass(frozen=True, eq=False)
 class Discretization:
-    """h, t and rho are read-only float64 arrays, levels a read-only int64
-    array or None; the constructor accepts any sequences.  There is no
-    generated equality: compare the arrays."""
+    """h, t and rho are read-only float64 arrays; the constructor accepts
+    any sequences.  There is no generated equality: compare the arrays."""
 
     horizon: float
     h: np.ndarray
     t: np.ndarray
     rho: np.ndarray
-    # dyadic exponents: h[j] == horizon * 2**-levels[j]; None for
-    # discretizations not built by halving (e.g. uniform T/n grids)
-    levels: np.ndarray | None = None
 
     def __post_init__(self):
-        for name, dtype in (("h", np.float64), ("t", np.float64), ("rho", np.float64),
-                            ("levels", np.int64)):
-            if getattr(self, name) is not None:
-                a = np.array(getattr(self, name), dtype=dtype)
-                a.setflags(write=False)
-                object.__setattr__(self, name, a)
+        for name in ("h", "t", "rho"):
+            a = np.array(getattr(self, name), dtype=np.float64)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
         h, t, rho, n = self.h, self.t, self.rho, self.h.size
         if h.ndim != 1 or n < 1:
             raise ValueError("need at least one time interval")
@@ -57,14 +51,22 @@ class Discretization:
             raise ValueError("h, t and rho must be finite")
         if h.min() <= 0.0 or rho.min() <= 0.0:
             raise ValueError("h and rho must be strictly positive")
-        if self.levels is not None and self.levels.shape != (n,):
-            raise ValueError("levels must have length n")
         if not abs(t[-1] - self.horizon) <= 1e-9 * max(1.0, self.horizon):
             raise ValueError("time nodes do not span [0, T]")
 
     @property
     def n(self) -> int:
         return self.h.size
+
+    @property
+    def levels(self) -> np.ndarray | None:
+        """Dyadic exponents as a read-only int64 array, h[j] == horizon *
+        2**-levels[j]; None unless every step is such a fraction of T."""
+        levels = 1 - np.frexp(self.h / self.horizon)[1].astype(np.int64)
+        if not np.array_equal(self.h, np.ldexp(self.horizon, -levels)):
+            return None
+        levels.setflags(write=False)
+        return levels
 
 
 def initial_discretization(T: float, L: float, P: float) -> Discretization:
@@ -79,7 +81,7 @@ def initial_discretization(T: float, L: float, P: float) -> Discretization:
     rho0 = 2.0 * L * P * T * T
     e0 = math.inf
     if math.isfinite(rho0):
-        disc = Discretization(T, (T,), (0.0, T), (rho0, rho0), levels=(0,))
+        disc = Discretization(T, (T,), (0.0, T), (rho0, rho0))
         # an overflowing bound comes out inf, or raises in math.exp(L*T)
         with np.errstate(over="ignore"), contextlib.suppress(OverflowError):
             e0 = error_total(disc, L, P)
@@ -111,17 +113,13 @@ def subdivide(disc: Discretization, j: int) -> Discretization:
         raise ValueError(f"subdivision index {j} out of range [0, {n}]")
     if j == 0:
         rho = np.concatenate(((disc.rho[0] / 4.0,), disc.rho[1:]))
-        return Discretization(disc.horizon, disc.h, disc.t, rho, disc.levels)
+        return Discretization(disc.horizon, disc.h, disc.t, rho)
     half = disc.h[j - 1] / 2.0
     h = np.concatenate((disc.h[: j - 1], (half, half), disc.h[j:]))
     t = np.concatenate((disc.t[:j], (disc.t[j] - half,), disc.t[j:]))
     quarter = disc.rho[j] / 4.0
     rho = np.concatenate((disc.rho[:j], (quarter, quarter), disc.rho[j + 1 :]))
-    levels = None
-    if disc.levels is not None:
-        lv = disc.levels[j - 1] + 1
-        levels = np.concatenate((disc.levels[: j - 1], (lv, lv), disc.levels[j:]))
-    return Discretization(disc.horizon, h, t, rho, levels)
+    return Discretization(disc.horizon, h, t, rho)
 
 
 def error_components(disc: Discretization, L: float, P: float) -> np.ndarray:
@@ -153,9 +151,9 @@ def coupling_satisfied(disc: Discretization, L: float, P: float) -> bool:
     2*L*P*T^2 scaled by a power of four; otherwise a relative check.
     """
     rho = disc.rho[1:]
-    if disc.levels is not None:
+    if (levels := disc.levels) is not None:
         base = 2.0 * L * P * disc.horizon * disc.horizon
-        return bool(np.all(rho == np.ldexp(base, -2 * disc.levels)))
+        return bool(np.all(rho == np.ldexp(base, -2 * levels)))
     return bool(np.all(np.abs(rho - 2.0 * L * P * disc.h**2) <= 1e-9 * rho))
 
 
@@ -169,8 +167,6 @@ def dyadic_invariants_ok(disc: Discretization) -> bool:
     if disc.levels is None:
         return False
     h, t = disc.h, disc.t
-    if not np.all(h == np.ldexp(disc.horizon, -disc.levels)):
-        return False
     # both ends of interval j are integer multiples of h_j
     for node in (t[1:], t[:-1]):
         if not np.all(np.rint(node / h) * h == node):

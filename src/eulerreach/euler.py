@@ -32,19 +32,18 @@ class RunRecord:
     """Everything one Euler run produces.
 
     cost_exact[j] is the number of grid points computed when stepping
-    from node j to node j+1 (n entries).  vhat_R / vhat_F are the
-    surrogate volumes of the reachable sets and the rhs images (n+1
-    entries each, with the last image volume copied from its neighbor).
+    from node j to node j+1 (n entries).
     """
 
     system: SystemSpec
     disc: Discretization
     sets: tuple[LatticeSet, ...]
     cost_exact: tuple[int, ...]
-    vhat_R: tuple[float, ...]
-    vhat_F: tuple[float, ...]
-    error_bound: float
     wall_time: float
+
+    @property
+    def error_bound(self) -> float:
+        return error_total(self.disc, self.system.lipschitz, self.system.bound)
 
     @property
     def cost_total(self) -> int:
@@ -70,33 +69,19 @@ def euler_run(
     if abs(disc.horizon - system.horizon) > 1e-9 * system.horizon:
         raise ValueError("discretization horizon does not match the system")
     t0 = time.perf_counter()
-    # Python floats: a np.float64 resolution would print as np.float64(...)
-    # in the snapshot header
-    rho = disc.rho.tolist()
-    hs = disc.h.tolist()
+    rho = disc.rho
     sets = [project_box(system.initial_set, rho[0], cap=cap)]
     cost_exact: list[int] = []
-    vhat_R = [sets[0].cardinality * rho[0] ** system.d_R]
-    vhat_F: list[float] = []
-
     for k in range(disc.n):
-        h = hs[k]
-        src = sets[k]
-        nxt, cost = _step(system, src, h, rho[k + 1], cap, step=k + 1)
+        nxt, cost = _step(system, sets[k], disc.h[k], rho[k + 1], cap, step=k + 1)
         sets.append(nxt)
         cost_exact.append(cost)
-        vhat_R.append(nxt.cardinality * rho[k + 1] ** system.d_R)
-        vhat_F.append((cost / src.cardinality) * (rho[k + 1] / h) ** system.d_F)
-    vhat_F.append(vhat_F[-1])
 
     return RunRecord(
         system=system,
         disc=disc,
         sets=tuple(sets),
         cost_exact=tuple(cost_exact),
-        vhat_R=tuple(vhat_R),
-        vhat_F=tuple(vhat_F),
-        error_bound=error_total(disc, system.lipschitz, system.bound),
         wall_time=time.perf_counter() - t0,
     )
 
@@ -131,15 +116,18 @@ def _project(
 ) -> tuple[LatticeSet, int]:
     """The lattice set covered by the (N, d) index boxes [lo_idx, hi_idx]
     and their summed sizes, the cost count.  Raises ResourceCapError when
-    that count exceeds cap; the union has at most that many points."""
+    that count exceeds cap or reaches 2**53; the union has at most that
+    many points."""
     # one contiguous row of box sizes per axis; the products run over the
     # axes in order, as a per-box product would
-    sizes = np.ascontiguousarray((hi_idx - lo_idx).T)
-    sizes += 1
-    # guard in float first: the int64 counts can overflow in infeasible cells
-    projected = float(np.multiply.reduce(sizes.astype(float)).sum())
-    if projected > cap:
-        raise ResourceCapError(step=step, projected=projected, cap=cap)
-    cost = int(np.multiply.reduce(sizes).sum())
+    sizes = np.ascontiguousarray((hi_idx - lo_idx).T, dtype=float)
+    sizes += 1.0
+    # Counted in float64, which is exact below 2**53: every partial product
+    # and partial sum is an integer no larger than the total.  Rounding is
+    # monotone, so a total at or above 2**53 never rounds below it.
+    projected = float(np.multiply.reduce(sizes).sum())
     del sizes
-    return LatticeSet(rho, union_of_boxes(lo_idx, hi_idx)), cost
+    limit = min(cap, 2**53 - 1)
+    if not projected <= limit:
+        raise ResourceCapError(step=step, projected=projected, cap=limit)
+    return LatticeSet(rho, union_of_boxes(lo_idx, hi_idx)), int(projected)

@@ -138,6 +138,8 @@ class LatticeSet:
             raise ValueError("points must be a nonempty (N, d) array, d >= 1")
         if self.resolution <= 0:
             raise ValueError("resolution must be positive")
+        # a Python float, as the text header prints it
+        object.__setattr__(self, "resolution", float(self.resolution))
         if not _is_sorted_unique(pts):
             pts = np.unique(pts, axis=0)
         pts.setflags(write=False)

@@ -92,7 +92,16 @@ class VolumeSplines:
 
     @classmethod
     def from_run(cls, record: RunRecord) -> "VolumeSplines":
-        return cls(record.disc.t, record.vhat_R, record.vhat_F)
+        """The surrogate volumes measured on a run, which cost_components
+        inverts: |R_j| * rho_j^d_R at every node, and per step the image
+        volume (cost_j / |R_j|) * (rho_{j+1} / h_j)^d_F, the last node
+        copying its neighbor."""
+        disc, system = record.disc, record.system
+        card = np.asarray(record.cardinalities, dtype=float)
+        v_F = np.asarray(record.cost_exact, dtype=float) / card[:-1] * (
+            disc.rho[1:] / disc.h
+        ) ** system.d_F
+        return cls(disc.t, card * disc.rho**system.d_R, np.append(v_F, v_F[-1]))
 
     def v_R(self, t):
         return np.interp(t, self.nodes, self.vR_values)
@@ -227,7 +236,6 @@ class IterationRecord:
     n_after: int
     delta_e: float
     delta_c: float
-    ratio: float
     error_after: float
 
 
@@ -236,7 +244,6 @@ class ThresholdRecord:
     ell: int
     eps: float | None  # None for the unconditional first run
     record: RunRecord
-    planning_splines: VolumeSplines | None  # splines the run was planned with
     cost_cumulative: int
     time_refine: float
 
@@ -298,7 +305,6 @@ def algorithm_adaptive(
                 # index, so refinement paths are reproducible
                 k = int(np.argmax(-de / dc))
                 delta_e, delta_c = float(de[k]), float(dc[k])
-                ratio = float(-de[k] / dc[k])
                 disc = subdivide(disc, k)
                 de, dc = _update_deltas(de, dc, disc, k, L, P, splines, d_R, d_F)
                 new_err = error_total(disc, L, P)
@@ -309,14 +315,14 @@ def algorithm_adaptive(
                 err = new_err
                 trace.iterations.append(IterationRecord(
                     m=len(trace.iterations) + 1, k=k, n_after=disc.n,
-                    delta_e=delta_e, delta_c=delta_c, ratio=ratio, error_after=err,
+                    delta_e=delta_e, delta_c=delta_c, error_after=err,
                 ))
         t1 = time.perf_counter()
         record = euler_run(system, disc, cap=cap)
         cumulative += record.cost_total
         trace.thresholds.append(ThresholdRecord(
-            ell=ell, eps=eps, record=record, planning_splines=splines,
-            cost_cumulative=cumulative, time_refine=t1 - t0,
+            ell=ell, eps=eps, record=record, cost_cumulative=cumulative,
+            time_refine=t1 - t0,
         ))
         splines = VolumeSplines.from_run(record)
 

@@ -64,11 +64,11 @@ class SystemSpec:
 
     ``lipschitz`` and ``bound`` are the (clamped) constants used by the
     error model; ``params`` keeps the raw defining parameters.  ``domain``
-    is the sampling box used by the Lipschitz/bound property checks.
+    is the sampling box used by the Lipschitz/bound property checks.  The
+    state dimension is that of ``initial_set``; ``domain`` must share it.
     """
 
     name: str
-    dimension: int
     horizon: float
     lipschitz: float
     bound: float
@@ -80,8 +80,6 @@ class SystemSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
         for name in ("horizon", "lipschitz", "bound"):
             if not 0.0 < getattr(self, name) < math.inf:  # also rejects nan
                 raise ValueError(f"{name} must be positive and finite")
@@ -89,8 +87,12 @@ class SystemSpec:
             raise ValueError("d_R must satisfy 1 <= d_R <= d")
         if not (0 <= self.d_F <= self.dimension):
             raise ValueError("d_F must satisfy 0 <= d_F <= d")
-        if self.initial_set.dim != self.dimension:
-            raise ValueError("initial set dimension mismatch")
+        if self.domain.dim != self.dimension:
+            raise ValueError("domain dimension mismatch")
+
+    @property
+    def dimension(self) -> int:
+        return self.initial_set.dim
 
 
 def evaluate_rhs(system: SystemSpec, x) -> Box:
@@ -124,7 +126,6 @@ def make_exponential_system(d: int, L: float) -> SystemSpec:
     ones = np.ones(d)
     return SystemSpec(
         name="exponential",
-        dimension=d,
         horizon=1.0,
         lipschitz=max(L, CONSTANT_FLOOR),
         bound=max(L * math.exp(L), CONSTANT_FLOOR),
@@ -163,7 +164,6 @@ def make_michaelis_menten() -> SystemSpec:
 
     return SystemSpec(
         name="michaelis_menten",
-        dimension=2,
         horizon=1.0,
         lipschitz=3.0,
         bound=0.61,

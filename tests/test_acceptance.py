@@ -274,12 +274,11 @@ def test_criterion_7_estimator_quality(adaptive_cells, adaptive_d1_fine):
         adaptive_d1_fine,
         adaptive_cells[(1, 2.0)],
     ):
-        rated = [
-            th for th in trace.thresholds if th.planning_splines is not None
-        ]
+        # every run after the first, with the volumes it was planned with
+        rated = trace.thresholds[1:]
         deltas = [
-            estimator_relative_error(th.record, th.planning_splines)
-            for th in rated
+            estimator_relative_error(th.record, VolumeSplines.from_run(prev.record))
+            for prev, th in zip(trace.thresholds, rated)
         ]
         errors = [th.record.error_bound for th in rated]
         ok &= len(deltas) >= 4

@@ -33,7 +33,9 @@ class TestConstruction:
         assert disc.h.tolist() == [0.25] * 4
         assert disc.t[-1] == 1.0
         assert disc.rho.tolist() == [0.0625] * 5
-        assert disc.levels is None
+        # h = 1/4 is dyadic, whatever built the grid
+        assert disc.levels.tolist() == [2] * 4
+        assert uniform_discretization(1.0, 3).levels is None
 
     def test_uniform_last_node_exact(self):
         # T/n may not be exactly representable; the last node must still be T
@@ -155,13 +157,23 @@ class TestInvariants:
     def test_coupling_detects_violation(self):
         disc = initial_discretization(1.0, 1.0, 1.0)
         broken = Discretization(
-            disc.horizon, disc.h, disc.t, (disc.rho[0], disc.rho[1] * 2.0),
-            disc.levels,
+            disc.horizon, disc.h, disc.t, (disc.rho[0], disc.rho[1] * 2.0)
         )
         assert not coupling_satisfied(broken, 1.0, 1.0)
 
     def test_dyadic_check_requires_levels(self):
-        assert not dyadic_invariants_ok(uniform_discretization(1.0, 4))
+        # h = 1/3 is no power-of-two fraction of T, so there are no levels
+        assert not dyadic_invariants_ok(uniform_discretization(1.0, 3))
+
+    @pytest.mark.parametrize("T", [1.0, 0.75, 3.0])
+    def test_levels_follow_the_steps(self, T):
+        disc = uniform_discretization(T, 8)
+        assert disc.levels.tolist() == [3] * 8
+        assert np.array_equal(disc.h, np.ldexp(T, -disc.levels))
+        # a step a hair off a power of two has no level
+        h = (T / 2, np.nextafter(T / 4, T), np.nextafter(T / 4, 0.0))
+        t = (0.0, T / 2, T / 2 + h[1], T)
+        assert Discretization(T, h, t, (1.0,) * 4).levels is None
 
     def test_non_unit_horizon(self):
         L, P, T = 1.5, 2.0, 0.75

@@ -5,9 +5,9 @@ import pytest
 
 from eulerreach.discretization import uniform_discretization
 from eulerreach.errors import InvariantViolation, ResourceCapError
-from eulerreach.euler import euler_run
+from eulerreach.euler import _project, euler_run
 from eulerreach.lattice import lattice_range
-from eulerreach.refine import error_total
+from eulerreach.refine import VolumeSplines, error_total
 from eulerreach.systems import make_exponential_system, make_michaelis_menten
 
 
@@ -41,7 +41,6 @@ class TestEulerRun:
         record = euler_run(system, disc)
         assert len(record.sets) == 5
         assert len(record.cost_exact) == 4
-        assert len(record.vhat_R) == 5 and len(record.vhat_F) == 5
         assert record.cost_total == sum(record.cost_exact)
         assert record.cardinalities == tuple(s.cardinality for s in record.sets)
 
@@ -55,20 +54,28 @@ class TestEulerRun:
         record = euler_run(system, uniform_discretization(1.0, 4))
         assert list(record.cost_exact) == _cost_oracle(system, record)
 
-    def test_surrogate_volume_definitions(self):
-        system = make_exponential_system(2, 1.0)
+    @pytest.mark.parametrize("system", [
+        make_exponential_system(1, 1.0), make_exponential_system(2, 1.0),
+        make_exponential_system(3, 1.0), make_michaelis_menten(),
+    ], ids=["exp1", "exp2", "exp3", "mm"])
+    def test_surrogate_volume_definitions(self, system):
+        # the vectorized volumes equal the per-step Python float formulas
+        # bit for bit
         disc = uniform_discretization(1.0, 3)
         record = euler_run(system, disc)
-        for j in range(4):
-            assert record.vhat_R[j] == pytest.approx(
-                record.sets[j].cardinality * disc.rho[j] ** 2
-            )
-        for k in range(3):
-            expect = (record.cost_exact[k] / record.sets[k].cardinality) * (
-                disc.rho[k + 1] / disc.h[k]
-            ) ** 2
-            assert record.vhat_F[k] == pytest.approx(expect)
-        assert record.vhat_F[3] == record.vhat_F[2]
+        volumes = VolumeSplines.from_run(record)
+        assert volumes.nodes.tolist() == disc.t.tolist()
+        rho, h = disc.rho.tolist(), disc.h.tolist()
+        d_R, d_F = system.d_R, system.d_F
+        assert volumes.vR_values.tolist() == [
+            record.sets[j].cardinality * rho[j] ** d_R for j in range(4)
+        ]
+        v_F = [
+            (record.cost_exact[k] / record.sets[k].cardinality)
+            * (rho[k + 1] / h[k]) ** d_F
+            for k in range(3)
+        ]
+        assert volumes.vF_values.tolist() == [*v_F, v_F[-1]]
 
     def test_error_bound_recorded(self):
         system = make_exponential_system(1, 1.0)
@@ -90,6 +97,23 @@ class TestEulerRun:
             euler_run(system, disc, cap=2000)
         assert info.value.step >= 1
         assert info.value.projected > info.value.cap
+
+    def test_cap_counts_exactly_below_two_to_the_53(self):
+        # one 2**27 + 1 by 2**26 box: the count reaches 2**53, past which a
+        # float64 count is no longer exact, so no cap lets it through
+        lo = np.zeros((1, 2), dtype=np.int64)
+        hi = np.array([[2**27, 2**26 - 1]])
+        with pytest.raises(ResourceCapError) as info:
+            _project(lo, hi, 1.0, 2**62, step=3)
+        assert info.value.step == 3 and info.value.cap == 2**53 - 1
+
+    def test_cap_admits_a_count_equal_to_it(self):
+        lo = np.zeros((2, 1), dtype=np.int64)
+        hi = np.array([[4], [2]])
+        s, cost = _project(lo, hi, 0.5, 8, step=1)
+        assert cost == 8 and s.points.ravel().tolist() == [0, 1, 2, 3, 4]
+        with pytest.raises(ResourceCapError):
+            _project(lo, hi, 0.5, 7, step=1)
 
     def test_michaelis_menten_runs(self):
         system = make_michaelis_menten()

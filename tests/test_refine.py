@@ -280,8 +280,9 @@ class TestAdaptiveSolver:
         assert len(trace.iterations) == 0
         assert len(trace.thresholds) == 2
         assert trace.thresholds[0].eps is None
-        assert trace.thresholds[0].planning_splines is None
-        assert trace.thresholds[1].planning_splines is not None
+        # the second run is planned with the volumes of the first
+        splines = VolumeSplines.from_run(trace.thresholds[0].record)
+        assert splines.nodes.tolist() == [0.0, 1.0]
 
     def test_meets_target_and_invariants(self):
         system = make_exponential_system(1, 1.0)

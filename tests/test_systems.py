@@ -209,7 +209,6 @@ class TestSystemSpecValidation:
         with pytest.raises(ValueError):
             SystemSpec(
                 name="x",
-                dimension=2,
                 horizon=1.0,
                 lipschitz=1.0,
                 bound=1.0,
@@ -221,17 +220,8 @@ class TestSystemSpecValidation:
             )
 
     def test_dimension_mismatch(self):
+        # the dimension is the initial set's; the domain must share it
         system = make_exponential_system(2, 1.0)
-        with pytest.raises(ValueError):
-            SystemSpec(
-                name="x",
-                dimension=1,
-                horizon=1.0,
-                lipschitz=1.0,
-                bound=1.0,
-                initial_set=system.initial_set,
-                rhs_batch=system.rhs_batch,
-                d_R=1,
-                d_F=1,
-                domain=system.domain,
-            )
+        assert system.dimension == system.initial_set.dim == 2
+        with pytest.raises(ValueError, match="domain"):
+            dataclasses.replace(system, domain=Box([0.0], [1.0]))
