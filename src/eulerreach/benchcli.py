@@ -79,6 +79,10 @@ class ExperimentConfig:
                 check_tolerances(self.ladder)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # a comparison row is labelled eps: both solvers must stop there
+        ladder_end = self.eps if self.ladder is None else self.ladder[-1]
+        if self.algorithm == "compare" and ladder_end != self.eps:
+            raise ConfigError("a compared ladder must end at eps")
         if not np.isfinite(self.L):
             raise ConfigError("L must be finite")
         if not MIN_CAP <= self.cap < 2**53:  # counts are exact below 2**53
@@ -213,7 +217,10 @@ def run_experiment(config: ExperimentConfig) -> int:
     config.validate()
     system = build_system(config)
     outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
     chash = config.hash()
     (outdir / "config.txt").write_text(
         "".join(f"{k} = {v}\n" for k, v in sorted(asdict(config).items()))
@@ -274,12 +281,15 @@ def run_experiment(config: ExperimentConfig) -> int:
 
 
 def selftest(seed: int = 0) -> int:
-    """Quick invariant suites; returns 0 or raises InvariantViolation."""
+    """Quick invariant suites; returns 0 or raises InvariantViolation
+    (ConfigError for a negative seed)."""
     from .discretization import initial_discretization, subdivide
     from .euler import project_box
     from .lattice import hausdorff_to_box
     from .systems import Box
 
+    if seed < 0:
+        raise ConfigError("seed must be >= 0")
     rng = np.random.default_rng(seed)
 
     def check(name: str, ok: bool) -> None:
@@ -359,6 +369,12 @@ def _int(value) -> int:
 _BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 
+def _str(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("not a string")
+    return value
+
+
 def _bool(value) -> bool:
     if isinstance(value, bool):
         return value
@@ -377,7 +393,7 @@ def _floats(value) -> list[float]:
 # parser of each ExperimentConfig field, by its annotation; the same
 # parsers read key=value files, JSON on stdin and the flags
 _PARSERS = {
-    "str": str, "int": _int, "int | None": _int, "float": _float, "bool": _bool,
+    "str": _str, "int": _int, "int | None": _int, "float": _float, "bool": _bool,
     "list[float] | None": _floats,
 }
 _FIELDS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
@@ -402,7 +418,7 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config == "-":
         try:
             data = json.load(sys.stdin)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"invalid JSON config on stdin: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("stdin config must be a JSON object")
@@ -417,10 +433,12 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _parse_kv_file(path: Path) -> dict:
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     data = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -468,11 +486,13 @@ def sweep(config: ExperimentConfig, eps_list: list[float]) -> int:
     """One compare run per tolerance, below config.out, plus sweep.csv."""
     if not eps_list:
         raise ConfigError("empty --eps-list")
+    if config.ladder is not None:
+        raise ConfigError("sweep builds the ladder of each eps; drop ladder")
     base_out = Path(config.out)
     rows = []
     for eps in eps_list:
         cell = replace(
-            config, eps=eps, ladder=None, algorithm="compare",
+            config, eps=eps, algorithm="compare",
             out=str(base_out / f"eps_{_fmt(eps)}"),
         )
         run_experiment(cell)

@@ -43,10 +43,6 @@ class Box:
     def dim(self) -> int:
         return self.lower.size
 
-    @property
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
-
     @classmethod
     def point(cls, x) -> "Box":
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -93,17 +89,6 @@ class SystemSpec:
     @property
     def dimension(self) -> int:
         return self.initial_set.dim
-
-
-def evaluate_rhs(system: SystemSpec, x) -> Box:
-    """Interval hull of F(x) at a single state point."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.shape != (system.dimension,):
-        raise ValueError(
-            f"state has length {x.size}, system dimension is {system.dimension}"
-        )
-    lo, hi = system.rhs_batch(x[None, :])
-    return Box(lo[0], hi[0])
 
 
 def make_exponential_system(d: int, L: float) -> SystemSpec:

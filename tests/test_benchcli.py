@@ -69,6 +69,8 @@ class TestConfig:
             {"L": float("inf")},
             {"ladder": [float("inf"), 1.0]},
             {"ladder": [1.0, float("nan")]},
+            {"cap": 2**53},
+            {"algorithm": "compare", "eps": 0.25, "ladder": [4.0, 2.0, 1.0]},
         ],
     )
     def test_invalid_rejected(self, patch):
@@ -142,6 +144,17 @@ class TestConfigParsing:
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
         assert main(["run-uniform", "--config", "-"]) == EXIT_OK
         assert (tmp_path / "o" / "summary.txt").exists()
+
+    @pytest.mark.parametrize("key", ["out", "system"])
+    @pytest.mark.parametrize("value", [None, 5, ["a"]], ids=["null", "number", "list"])
+    def test_stdin_string_key_takes_only_strings(
+        self, tmp_path, monkeypatch, capsys, key, value
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({key: value, "eps": 1.0})))
+        assert main(["run-uniform", "--config", "-"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: bad value for {key!r}")
+        assert list(tmp_path.iterdir()) == []
 
     def test_stdin_invalid_json(self, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("not json"))
@@ -457,6 +470,11 @@ class TestMainExitCodes:
         assert capsys.readouterr().err.startswith("config error:")
 
     @pytest.mark.parametrize("argv,code", [
+        (["run-uniform", "--config", "{tmp}/dir"], EXIT_CONFIG),
+        (["run-uniform", "--config", "{tmp}/latin1.cfg"], EXIT_CONFIG),
+        (["run-uniform", "--out", "{tmp}/file"], EXIT_CONFIG),
+        (["run-uniform", "--out", "{tmp}/file/o"], EXIT_CONFIG),
+        (["selftest", "--seed", "-1"], EXIT_CONFIG),
         (["run-uniform", "--L", "800"], EXIT_CONFIG),
         (["run-uniform", "--eps", "1e-300"], EXIT_RESOURCE),
         (["run-uniform", "--L", "700", "--eps", "1e300"], EXIT_RESOURCE),
@@ -464,12 +482,18 @@ class TestMainExitCodes:
         (["run-adaptive", "--L", "400"], EXIT_RESOURCE),
         (["run-adaptive", "--L", "700"], EXIT_RESOURCE),
         (["run-adaptive", "--L", "400", "--ladder", "1"], EXIT_RESOURCE),
-    ], ids=["L800", "eps1e-300", "L700-eps1e300", "adaptive-L350",
+    ], ids=["config-dir", "config-not-utf8", "out-file", "out-below-file",
+            "selftest-seed-1", "L800", "eps1e-300", "L700-eps1e300", "adaptive-L350",
             "adaptive-L400", "adaptive-L700", "adaptive-L400-ladder1"])
     def test_bad_input_exits_without_traceback(self, tmp_path, argv, code):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "latin1.cfg").write_bytes("eps = 0.5  # \xe9\n".encode("latin-1"))
+        (tmp_path / "file").write_text("")
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        if argv[0] != "selftest" and "--out" not in argv:
+            argv += ["--out", str(tmp_path / "o")]
         out = subprocess.run(
-            [sys.executable, "-m", "eulerreach.benchcli", *argv,
-             "--out", str(tmp_path / "o")],
+            [sys.executable, "-m", "eulerreach.benchcli", *argv],
             env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
             capture_output=True, text=True, timeout=60,
         )
@@ -477,6 +501,25 @@ class TestMainExitCodes:
         assert "Traceback" not in out.stderr
         prefix = "config error:" if code == EXIT_CONFIG else "resource cap:"
         assert out.stderr.startswith(prefix)
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--eps-list", "0.5", "--ladder", "4,2,1"],
+        ["sweep", "--eps-list", "1", "--ladder", "4,2,1"],
+        ["compare", "--eps", "0.25", "--ladder", "4,2,1"],
+        ["emit-figure-data", "--eps", "0.25", "--ladder", "4,2,1"],
+    ], ids=["sweep", "sweep-ending-at-eps", "compare", "emit-figure-data"])
+    def test_dropped_or_mismatched_ladder_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
+    def test_compare_with_ladder_ending_at_eps(self, tmp_path):
+        out = tmp_path / "o"
+        argv = ["compare", "--eps", "1", "--ladder", "4,2,1", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        with (out / "comparison.csv").open() as fh:
+            assert next(csv.DictReader(fh))["eps"] == "1"
 
     def test_resource_cap(self, tmp_path):
         code = main(

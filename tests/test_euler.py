@@ -54,28 +54,26 @@ class TestEulerRun:
         record = euler_run(system, uniform_discretization(1.0, 4))
         assert list(record.cost_exact) == _cost_oracle(system, record)
 
-    @pytest.mark.parametrize("system", [
-        make_exponential_system(1, 1.0), make_exponential_system(2, 1.0),
-        make_exponential_system(3, 1.0), make_michaelis_menten(),
-    ], ids=["exp1", "exp2", "exp3", "mm"])
-    def test_surrogate_volume_definitions(self, system):
+    def test_surrogate_volume_definitions(self):
         # the vectorized volumes equal the per-step Python float formulas
-        # bit for bit
+        # bit for bit, at the exponents (1, 1), (2, 2), (3, 3) and (2, 1)
         disc = uniform_discretization(1.0, 3)
-        record = euler_run(system, disc)
-        volumes = VolumeSplines.from_run(record)
-        assert volumes.nodes.tolist() == disc.t.tolist()
         rho, h = disc.rho.tolist(), disc.h.tolist()
-        d_R, d_F = system.d_R, system.d_F
-        assert volumes.vR_values.tolist() == [
-            record.sets[j].cardinality * rho[j] ** d_R for j in range(4)
-        ]
-        v_F = [
-            (record.cost_exact[k] / record.sets[k].cardinality)
-            * (rho[k + 1] / h[k]) ** d_F
-            for k in range(3)
-        ]
-        assert volumes.vF_values.tolist() == [*v_F, v_F[-1]]
+        for system in (make_exponential_system(1, 1.0), make_exponential_system(2, 1.0),
+                       make_exponential_system(3, 1.0), make_michaelis_menten()):
+            record = euler_run(system, disc)
+            volumes = VolumeSplines.from_run(record)
+            assert volumes.nodes.tolist() == disc.t.tolist()
+            d_R, d_F = system.d_R, system.d_F
+            assert volumes.vR_values.tolist() == [
+                record.sets[j].cardinality * rho[j] ** d_R for j in range(4)
+            ]
+            v_F = [
+                (record.cost_exact[k] / record.sets[k].cardinality)
+                * (rho[k + 1] / h[k]) ** d_F
+                for k in range(3)
+            ]
+            assert volumes.vF_values.tolist() == [*v_F, v_F[-1]]
 
     def test_error_bound_recorded(self):
         system = make_exponential_system(1, 1.0)

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,6 +92,33 @@ class TestLatticeRange:
             for g, w in zip(got, want):
                 assert g.dtype == np.int64
                 assert np.array_equal(g, w)
+
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_contains_the_exact_range_within_one_guard_layer(self, d):
+        """ceil((lower - rho/2)/rho) and floor((upper + rho/2)/rho) of the
+        float inputs, computed in exact rationals, lie in the computed range,
+        which is wider by at most the one BOUNDARY_GUARD layer per side."""
+        rng = np.random.default_rng(200 + d)
+        for rho in (0.25, 2.0**-10, 0.1, float(rng.uniform(1e-3, 2.0)), 3.0):
+            m = rng.integers(-(10**6), 10**6, size=(300, d))
+            lower = (m + 0.5) * rho  # ties, exact where the product is
+            near = rng.uniform(-3e-12, 3e-12, size=(100, d)) * (np.abs(m[1::3]) + 1.0)
+            lower[1::3] = (m[1::3] + 0.5 + near) * rho  # within a few guards of a tie
+            # far from the origin, where the guard widens the most
+            lower[2::3] = rng.uniform(-1e7, 1e7, size=(100, d))
+            upper = lower + rng.integers(0, 3, size=(300, d)) * rho
+            upper[::2] = lower[::2]  # point boxes
+            lo, hi = lattice_range(lower, upper, rho)
+            r = Fraction(rho)
+            for a, z, got_lo, got_hi in zip(
+                lower.ravel().tolist(), upper.ravel().tolist(),
+                lo.ravel().tolist(), hi.ravel().tolist(),
+            ):
+                want_lo = math.ceil((Fraction(a) - r / 2) / r)
+                want_hi = math.floor((Fraction(z) + r / 2) / r)
+                assert want_lo - 1 <= got_lo <= want_lo, (a, rho)
+                assert want_hi <= got_hi <= want_hi + 1, (z, rho)
 
 
 def _union_oracle(lo: np.ndarray, hi: np.ndarray) -> list:

@@ -7,23 +7,28 @@ import pytest
 from eulerreach.systems import (
     Box,
     SystemSpec,
-    evaluate_rhs,
     exact_reachable_box,
     make_exponential_system,
     make_michaelis_menten,
 )
 
 
+def _image(system, x):
+    """Lower and upper bounds of F(x) at one state, through rhs_batch."""
+    lo, hi = system.rhs_batch(np.array([x], dtype=float))
+    return lo[0], hi[0]
+
+
 class TestBox:
     def test_basic_properties(self):
         b = Box([0.0, -1.0], [2.0, 3.0])
         assert b.dim == 2
-        assert np.array_equal(b.width, [2.0, 4.0])
+        assert np.array_equal(b.upper - b.lower, [2.0, 4.0])
 
     def test_point_box(self):
         b = Box.point([1.5, 2.5])
         assert np.array_equal(b.lower, b.upper)
-        assert np.all(b.width == 0.0)
+        assert np.all(b.upper - b.lower == 0.0)
 
     def test_scalar_promoted(self):
         b = Box(1.0, 2.0)
@@ -46,22 +51,22 @@ class TestBox:
 class TestExponentialSystem:
     def test_rhs_at_point(self):
         system = make_exponential_system(1, 1.0)
-        img = evaluate_rhs(system, [2.0])
-        assert img.lower[0] == pytest.approx(1.8)
-        assert img.upper[0] == pytest.approx(2.0)
+        lo, hi = _image(system, [2.0])
+        assert lo[0] == pytest.approx(1.8)
+        assert hi[0] == pytest.approx(2.0)
 
     def test_rhs_componentwise(self):
         system = make_exponential_system(3, 2.0)
-        img = evaluate_rhs(system, [1.0, 2.0, 0.5])
-        assert np.allclose(img.lower, [1.8, 3.6, 0.9])
-        assert np.allclose(img.upper, [2.0, 4.0, 1.0])
+        lo, hi = _image(system, [1.0, 2.0, 0.5])
+        assert np.allclose(lo, [1.8, 3.6, 0.9])
+        assert np.allclose(hi, [2.0, 4.0, 1.0])
 
     def test_rhs_handles_negative_states(self):
         # 0.9*L*x > L*x for x < 0; the hull endpoints must stay ordered
         system = make_exponential_system(1, 1.0)
-        img = evaluate_rhs(system, [-1.0])
-        assert img.lower[0] == pytest.approx(-1.0)
-        assert img.upper[0] == pytest.approx(-0.9)
+        lo, hi = _image(system, [-1.0])
+        assert lo[0] == pytest.approx(-1.0)
+        assert hi[0] == pytest.approx(-0.9)
 
     def test_constants(self):
         system = make_exponential_system(2, 2.0)
@@ -88,29 +93,24 @@ class TestExponentialSystem:
         with pytest.raises(ValueError):
             make_exponential_system(1, L)
 
-    def test_wrong_state_length(self):
-        system = make_exponential_system(2, 1.0)
-        with pytest.raises(ValueError):
-            evaluate_rhs(system, [1.0])
-
 
 class TestMichaelisMenten:
     def test_rhs_at_initial_point(self):
         system = make_michaelis_menten()
-        img = evaluate_rhs(system, [0.75, 0.25])
+        lo, hi = _image(system, [0.75, 0.25])
         # first component is single-valued:
         # -0.5*0.6*0.75 + (0.5*0.75 + 0.05)*0.25 = -0.11875
-        assert img.lower[0] == pytest.approx(-0.11875)
-        assert img.upper[0] == pytest.approx(-0.11875)
+        assert lo[0] == pytest.approx(-0.11875)
+        assert hi[0] == pytest.approx(-0.11875)
         # second: 0.11875 - [1.8, 2.0]*0.25 = [-0.38125, -0.33125]
-        assert img.lower[1] == pytest.approx(-0.38125)
-        assert img.upper[1] == pytest.approx(-0.33125)
-        assert img.width[1] == pytest.approx(0.05)
+        assert lo[1] == pytest.approx(-0.38125)
+        assert hi[1] == pytest.approx(-0.33125)
+        assert hi[1] - lo[1] == pytest.approx(0.05)
 
     def test_rhs_interval_stays_ordered_for_negative_x2(self):
         system = make_michaelis_menten()
-        img = evaluate_rhs(system, [0.75, -0.1])
-        assert img.lower[1] <= img.upper[1]
+        lo, hi = _image(system, [0.75, -0.1])
+        assert lo[1] <= hi[1]
 
     def test_constants(self):
         system = make_michaelis_menten()
