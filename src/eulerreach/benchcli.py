@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -44,6 +45,20 @@ EXIT_RESOURCE = 3
 EXIT_INVARIANT = 4
 
 MIN_CAP = 1000
+
+# Path("") is the working directory, which no empty out may stand for
+EMPTY_OUT = "out must name a directory, not be empty"
+
+# files a run writes into its output directory, by algorithm, besides
+# config.txt, summary.txt and timing.txt (and the snapshots directory)
+_RUN_FILES = ("steps_{}.csv", "sigma_{}.csv", "stepsizes_{}.csv")
+_UNIFORM_FILES = tuple(f.format("uniform") for f in _RUN_FILES)
+_ADAPTIVE_FILES = (*(f.format("adaptive") for f in _RUN_FILES), "iterations.csv", "thresholds.csv")
+ARTIFACTS = {
+    "uniform": _UNIFORM_FILES,
+    "adaptive": _ADAPTIVE_FILES,
+    "compare": (*_UNIFORM_FILES, *_ADAPTIVE_FILES, "comparison.csv"),
+}
 
 # columns of comparison.csv and of sweep.csv, which gathers its rows
 COMPARISON_HEADER = (
@@ -91,6 +106,8 @@ class ExperimentConfig:
             raise ConfigError("d must be >= 1")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
+        if not self.out:
+            raise ConfigError(EMPTY_OUT)
 
     def canonical(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -212,10 +229,31 @@ def _write_snapshots(outdir: Path, record: RunRecord) -> None:
 # experiment driver
 
 
+def _check_file_path(path: Path) -> None:
+    if os.path.lexists(path) and not path.is_file():
+        raise ConfigError(f"artifact path {path} exists and is not a regular file")
+
+
+def _check_artifact_paths(config: ExperimentConfig) -> None:
+    """Raise ConfigError, before any solve, when a file the run writes
+    exists as something else (a directory, a dangling link), or the
+    snapshots path as something other than a directory."""
+    outdir = Path(config.out)
+    for name in ("config.txt", "summary.txt", "timing.txt", *ARTIFACTS[config.algorithm]):
+        _check_file_path(outdir / name)
+    if config.snapshots:
+        snapdir = outdir / "snapshots"
+        if os.path.lexists(snapdir) and not snapdir.is_dir():
+            raise ConfigError(f"snapshot path {snapdir} exists and is not a directory")
+        for path in snapdir.glob("step_*.txt"):
+            _check_file_path(path)
+
+
 def run_experiment(config: ExperimentConfig) -> int:
     """Run the configured experiment and write its artifacts; returns 0."""
     config.validate()
     system = build_system(config)
+    _check_artifact_paths(config)
     outdir = Path(config.out)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
@@ -488,13 +526,18 @@ def sweep(config: ExperimentConfig, eps_list: list[float]) -> int:
         raise ConfigError("empty --eps-list")
     if config.ladder is not None:
         raise ConfigError("sweep builds the ladder of each eps; drop ladder")
+    if not config.out:
+        raise ConfigError(EMPTY_OUT)
     base_out = Path(config.out)
+    cells = [
+        replace(config, eps=eps, algorithm="compare", out=str(base_out / f"eps_{_fmt(eps)}"))
+        for eps in eps_list
+    ]
+    _check_file_path(base_out / "sweep.csv")
+    for cell in cells:
+        _check_artifact_paths(cell)
     rows = []
-    for eps in eps_list:
-        cell = replace(
-            config, eps=eps, algorithm="compare",
-            out=str(base_out / f"eps_{_fmt(eps)}"),
-        )
+    for cell in cells:
         run_experiment(cell)
         with (Path(cell.out) / "comparison.csv").open() as fh:
             rows.extend(list(csv.reader(fh))[1:])

@@ -51,8 +51,14 @@ class Discretization:
             raise ValueError("h, t and rho must be finite")
         if h.min() <= 0.0 or rho.min() <= 0.0:
             raise ValueError("h and rho must be strictly positive")
-        if not abs(t[-1] - self.horizon) <= 1e-9 * max(1.0, self.horizon):
+        tol = 1e-9 * max(1.0, self.horizon)
+        if not abs(t[-1] - self.horizon) <= tol:
             raise ValueError("time nodes do not span [0, T]")
+        # t is the running sum of h, up to rounding
+        steps = t[1:] - t[:-1]
+        steps -= h
+        if not np.abs(steps).max() <= tol:
+            raise ValueError("time nodes must step by h")
 
     @property
     def n(self) -> int:

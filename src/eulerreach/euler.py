@@ -103,11 +103,15 @@ def _step(
             f"step {step}: right-hand side returned {bad} non-finite or "
             "inverted image boxes"
         )
-    lo_idx, hi_idx = lattice_range(x + h * f_lo, x + h * f_hi, rho_next)
-    # The set outlives the step: free the temporaries before the union
-    # allocates it, so that it fills their space instead of landing above
-    # them and leaving holes too small for the next, larger step.
+    # the image boxes x + h * F(x); addition commutes bit for bit, so they
+    # can be built in place, and x and F freed before the index ranges
+    lower = h * f_lo
+    lower += x
+    upper = h * f_hi
+    upper += x
     del x, f_lo, f_hi, ok
+    lo_idx, hi_idx = lattice_range(lower, upper, rho_next)
+    del lower, upper
     return _project(lo_idx, hi_idx, rho_next, cap, step)
 
 
@@ -130,4 +134,4 @@ def _project(
     limit = min(cap, 2**53 - 1)
     if not projected <= limit:
         raise ResourceCapError(step=step, projected=projected, cap=limit)
-    return LatticeSet(rho, union_of_boxes(lo_idx, hi_idx)), int(projected)
+    return LatticeSet(rho, runs=union_of_boxes(lo_idx, hi_idx)), int(projected)

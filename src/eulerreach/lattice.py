@@ -1,9 +1,12 @@
 """Finite subsets of the scaled integer lattice rho * Z^d.
 
-Points are stored as the rows of an (N, d) int64 index array, sorted and
-unique; the state coordinates are rho * z on demand.  The projector maps a
-box b to all lattice points within max-norm rho/2 of it, i.e. the per-axis
-index ranges ceil((lower - rho/2)/rho) .. floor((upper + rho/2)/rho).
+A set is stored as the maximal runs of consecutive indices along the last
+axis: an (R, d) int64 array of run starts, sorted, and their lengths.  A
+set of N points in a few long rows then takes a few rows of memory, not N;
+the sorted (N, d) index rows and the state coordinates rho * z are
+expanded from the runs on demand and not kept.  The projector maps a box b
+to all lattice points within max-norm rho/2 of it, i.e. the per-axis index
+ranges ceil((lower - rho/2)/rho) .. floor((upper + rho/2)/rho).
 
 Boundary ties (points at distance exactly rho/2) belong to the closed
 ball and are included; index computation widens each quotient q by
@@ -55,23 +58,27 @@ def lattice_range(lower: np.ndarray, upper: np.ndarray, rho: float) -> tuple[np.
     return lo, hi
 
 
-def union_of_boxes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Union of a batch of inclusive integer index boxes.
+def union_of_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Union of a batch of inclusive integer index boxes, as runs.
 
-    lo, hi: (N, d) with hi >= lo.  Returns the covered points as a sorted,
-    unique (M, d) int64 array.  On the bounding grid of the boxes (plus one
-    cell per axis) every box adds +1 or -1 at its 2^d corners; prefix sums
-    along each axis then give the number of boxes covering each cell (the
-    summed-area table of Crow, SIGGRAPH 1984), so the work follows the grid
-    size, not the summed box sizes.  A grid over RASTER_BUDGET cells is
+    lo, hi: (N, d) with hi >= lo.  Returns the covered points as maximal
+    runs of consecutive indices along the last axis: an (R, d) int64 array
+    of run starts, sorted, and an (R,) int64 array of run lengths.  On the
+    bounding grid of the boxes (plus one cell per axis) every box adds +1 or
+    -1 at its 2^d corners; prefix sums along each axis then give the number
+    of boxes covering each cell (the summed-area table of Crow, SIGGRAPH
+    1984), so the work follows the grid size, not the summed box sizes.  The
+    spare cell ends every row uncovered, so a run never crosses a row and
+    only the run starts are decoded.  A grid over RASTER_BUDGET cells is
     split at the midpoint of its first axis spanning more than one index;
-    the axes before it are constant, so the halves concatenate in order.
+    the axes before it are constant, so the halves concatenate in order, and
+    where the cut is on the last axis the two runs that touch it merge.
     """
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
     d = lo.shape[1]
     if lo.shape[0] == 0:
-        return np.empty((0, d), dtype=np.int64)
+        return np.empty((0, d), dtype=np.int64), np.empty(0, dtype=np.int64)
     # column by column: reducing a column is far cheaper than reducing
     # axis 0 of an (N, d) array, and needs no transposed copy
     base = [int(lo[:, a].min()) for a in range(d)]
@@ -88,70 +95,121 @@ def union_of_boxes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         hi_left[:, a] = np.minimum(hi_left[:, a], mid - 1)
         lo_right = lo[right]
         lo_right[:, a] = np.maximum(lo_right[:, a], mid)
-        return np.concatenate(
-            [union_of_boxes(lo[left], hi_left), union_of_boxes(lo_right, hi[right])]
-        )
+        # both halves hold a box, so neither union is empty
+        s1, n1 = union_of_boxes(lo[left], hi_left)
+        s2, n2 = union_of_boxes(lo_right, hi[right])
+        if a == d - 1 and s1[-1, -1] + n1[-1] == mid == s2[0, -1]:
+            n1[-1] += n2[0]
+            s2, n2 = s2[1:], n2[1:]
+        return np.concatenate([s1, s2]), np.concatenate([n1, n2])
 
-    # flat offsets of the faces at lo and at hi + 1, per axis; a corner
-    # picks one face per axis and counts -1 when it picks an odd number
-    # of upper faces
-    even, odd = [0], []
-    stride = size
-    for a in range(d):
-        stride //= shape[a]
+    # flat offsets of the faces at lo and at hi + 1, per axis, from the
+    # last axis, whose stride is 1; a corner picks one face per axis and
+    # counts -1 when it picks an odd number of upper faces.  Offsets start
+    # at 1: cell 0 of the flat grid is a spare that stays uncovered, so
+    # that a run's start is an edge too.
+    even = [lo[:, -1] - (base[-1] - 1)]
+    odd = [hi[:, -1] - (base[-1] - 2)]
+    stride = shape[-1]
+    for a in range(d - 2, -1, -1):
         f_lo = lo[:, a] - base[a]
         f_lo *= stride
         f_hi = hi[:, a] - (base[a] - 1)
         f_hi *= stride
+        stride *= shape[a]
         even, odd = (
             [c + f_lo for c in even] + [c + f_hi for c in odd],
             [c + f_hi for c in even] + [c + f_lo for c in odd],
         )
-    grid = np.bincount(np.concatenate(even), minlength=size)
-    grid -= np.bincount(np.concatenate(odd), minlength=size)
-    del even, odd, f_lo, f_hi
-    cells = grid.reshape(shape)
+        del f_lo, f_hi
+    grid = np.bincount(np.concatenate(even), minlength=size + 1)
+    grid -= np.bincount(np.concatenate(odd), minlength=size + 1)
+    del even, odd
+    cells = grid[1:].reshape(shape)
     for a in range(d):
-        np.cumsum(cells, axis=a, out=cells)
-    flat = np.flatnonzero(grid > 0)
+        cells.cumsum(axis=a, out=cells)
+    covered = grid > 0
     del grid, cells
+    # the cells where coverage switches on or off alternate: run starts,
+    # then the cell past each run's end
+    edges = np.flatnonzero(covered[1:] != covered[:-1])
+    del covered
+    flat = edges[0::2]
+    lengths = edges[1::2] - flat
     # decode the C-order flat indices axis by axis, from the last, into
-    # one row per axis; the rows transposed are the points
+    # one row per axis; the rows transposed are the run starts
     out = np.empty((d, flat.size), dtype=np.int64)
     for a in range(d - 1, 0, -1):
         np.divmod(flat, shape[a], out=(flat, out[a]))
         out[a] += base[a]
     np.add(flat, base[0], out=out[0])
-    return out.T
+    return out.T, lengths
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LatticeSet:
-    """Deduplicated finite point set on the lattice rho * Z^d."""
+    """Deduplicated finite point set on the lattice rho * Z^d.
+
+    Stored as maximal runs of consecutive indices along the last axis:
+    ``starts`` (R, d) int64, lexicographically sorted, ``lengths`` (R,)
+    int64, no two runs of one row touching.  Built either from points,
+    ``LatticeSet(rho, points)``, which are sorted and deduplicated first
+    when they are not already, or from such runs, ``LatticeSet(rho,
+    runs=(starts, lengths))``, which are checked and kept as given.
+    """
 
     resolution: float
-    points: np.ndarray  # (N, d) int64, lexicographically sorted
+    starts: np.ndarray
+    lengths: np.ndarray
+    cardinality: int
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.int64)
-        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
-            raise ValueError("points must be a nonempty (N, d) array, d >= 1")
-        if self.resolution <= 0:
+    def __init__(self, resolution: float, points=None, *, runs=None):
+        if (points is None) == (runs is None):
+            raise ValueError("give either points or runs")
+        if runs is None:
+            pts = np.asarray(points, dtype=np.int64)
+            if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
+                raise ValueError("points must be a nonempty (N, d) array, d >= 1")
+            if not _is_sorted_unique(pts):
+                pts = np.unique(pts, axis=0)
+            starts, lengths = _encode_runs(pts)
+        else:
+            starts = np.asarray(runs[0], dtype=np.int64)
+            lengths = np.asarray(runs[1], dtype=np.int64)
+            if starts.ndim != 2 or starts.shape[0] < 1 or starts.shape[1] < 1:
+                raise ValueError("run starts must be a nonempty (R, d) array, d >= 1")
+            if lengths.shape != starts.shape[:1] or not _runs_are_maximal(starts, lengths):
+                raise ValueError("runs must be sorted, nonempty and apart")
+        if resolution <= 0:
             raise ValueError("resolution must be positive")
+        starts.setflags(write=False)
+        lengths.setflags(write=False)
+        init = object.__setattr__  # the dataclass is frozen
         # a Python float, as the text header prints it
-        object.__setattr__(self, "resolution", float(self.resolution))
-        if not _is_sorted_unique(pts):
-            pts = np.unique(pts, axis=0)
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def cardinality(self) -> int:
-        return self.points.shape[0]
+        init(self, "resolution", float(resolution))
+        init(self, "starts", starts)
+        init(self, "lengths", lengths)
+        init(self, "cardinality", int(lengths.sum()))
 
     @property
     def dim(self) -> int:
-        return self.points.shape[1]
+        return self.starts.shape[1]
+
+    @property
+    def points(self) -> np.ndarray:
+        """The (N, d) int64 index rows, sorted; expanded from the runs on
+        every read and not kept."""
+        n = self.lengths
+        # each run's start on each of its rows; then the last index of a
+        # row is its position plus the run's start minus the position of
+        # the run's first row (ndarray methods: this runs once a step)
+        shift = self.starts[:, -1] + n
+        shift -= n.cumsum()
+        rows = np.empty((self.dim, self.cardinality), dtype=np.int64)  # one per axis
+        if self.dim > 1:
+            rows[:-1] = self.starts.T[:-1].repeat(n, axis=1)
+        np.add(shift.repeat(n), np.arange(self.cardinality), out=rows[-1])
+        return rows.T
 
     def state_points(self) -> np.ndarray:
         return self.resolution * self.points
@@ -170,6 +228,42 @@ def _is_sorted_unique(pts: np.ndarray) -> bool:
     # from the last column to the first: row > previous row on columns c..d-1
     res = a[:, -1] > b[:, -1]
     for c in range(pts.shape[1] - 2, -1, -1):
+        res = (a[:, c] > b[:, c]) | ((a[:, c] == b[:, c]) & res)
+    return bool(res.all())
+
+
+def _encode_runs(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs along the last axis of sorted, unique (N, d) rows."""
+    n = pts.shape[0]
+    # a run starts at the first row, and wherever the last index does not
+    # go up by one or an earlier index changes.  Modulo 2**64 the step is 1
+    # only where it truly is, or from the largest int64 to the smallest,
+    # which sorted rows take only where an earlier index changes.
+    new = np.ones(n, dtype=bool)
+    np.not_equal(pts[1:, -1] - pts[:-1, -1], 1, out=new[1:])
+    for c in range(pts.shape[1] - 1):
+        new[1:] |= pts[1:, c] != pts[:-1, c]
+    first = np.flatnonzero(new)
+    return pts[first], np.diff(first, append=n)
+
+
+def _runs_are_maximal(starts: np.ndarray, lengths: np.ndarray) -> bool:
+    """Run starts strictly increasing in lexicographic order, every length
+    at least one, and at least one index between two runs of one row, at
+    O(R) cost."""
+    if lengths.min() < 1:
+        return False
+    if lengths.size == 1:  # one run: nothing to order
+        return True
+    a, b = starts[1:], starts[:-1]
+    nxt = a[:, -1]
+    last = b[:, -1] + lengths[:-1]
+    last -= 1
+    # in one row, a run starts past the index after the end of the one
+    # before; the difference cannot be 1 by wrapping where nxt > last
+    res = nxt > last
+    res &= nxt - last != 1
+    for c in range(starts.shape[1] - 2, -1, -1):
         res = (a[:, c] > b[:, c]) | ((a[:, c] == b[:, c]) & res)
     return bool(res.all())
 
@@ -208,8 +302,9 @@ def hausdorff_to_box_two_sided(A: LatticeSet, b: Box, max_cells: int = 50_000_00
     out = hausdorff_to_box(A, b)
 
     cov_lo, cov_hi = lattice_range(b.lower, b.upper, rho)
-    lo = np.minimum(cov_lo, A.points.min(axis=0))
-    hi = np.maximum(cov_hi, A.points.max(axis=0))
+    pts = A.points
+    lo = np.minimum(cov_lo, pts.min(axis=0))
+    hi = np.maximum(cov_hi, pts.max(axis=0))
     shape = tuple(int(v) for v in hi - lo + 1)
     cells = 1
     for s in shape:
@@ -219,7 +314,7 @@ def hausdorff_to_box_two_sided(A: LatticeSet, b: Box, max_cells: int = 50_000_00
             f"two-sided Hausdorff grid would need {cells} cells (> {max_cells})"
         )
     occupied = np.zeros(shape, dtype=bool)
-    occupied[tuple((A.points - lo).T)] = True
+    occupied[tuple((pts - lo).T)] = True
     dist = distance_transform_cdt(~occupied, metric="chessboard")
     window = tuple(
         slice(int(a - o), int(z - o + 1)) for a, z, o in zip(cov_lo, cov_hi, lo)

@@ -482,25 +482,43 @@ class TestMainExitCodes:
         (["run-adaptive", "--L", "400"], EXIT_RESOURCE),
         (["run-adaptive", "--L", "700"], EXIT_RESOURCE),
         (["run-adaptive", "--L", "400", "--ladder", "1"], EXIT_RESOURCE),
+        (["run-uniform", "--eps", "1", "--out", "{tmp}/busy"], EXIT_CONFIG),
+        (["run-uniform", "--eps", "1", "--out", ""], EXIT_CONFIG),
+        (["sweep", "--eps-list", "1", "--out", ""], EXIT_CONFIG),
+        (["sweep", "--eps-list", "1", "--out", "{tmp}/busy"], EXIT_CONFIG),
+        (["emit-figure-data", "--eps", "1", "--out", "{tmp}/busy"], EXIT_CONFIG),
+        (["emit-figure-data", "--eps", "1", "--out", "{tmp}/snapfile"], EXIT_CONFIG),
     ], ids=["config-dir", "config-not-utf8", "out-file", "out-below-file",
             "selftest-seed-1", "L800", "eps1e-300", "L700-eps1e300", "adaptive-L350",
-            "adaptive-L400", "adaptive-L700", "adaptive-L400-ladder1"])
+            "adaptive-L400", "adaptive-L700", "adaptive-L400-ladder1",
+            "artifact-dir", "out-empty", "sweep-out-empty", "sweep-csv-dir",
+            "snapshot-dir", "snapshots-file"])
     def test_bad_input_exits_without_traceback(self, tmp_path, argv, code):
         (tmp_path / "dir").mkdir()
         (tmp_path / "latin1.cfg").write_bytes("eps = 0.5  # \xe9\n".encode("latin-1"))
         (tmp_path / "file").write_text("")
+        # directories where artifacts go: config.txt, sweep.csv, a snapshot
+        busy = tmp_path / "busy"
+        for name in ("config.txt", "sweep.csv", "snapshots/step_00000.txt"):
+            (busy / name).mkdir(parents=True)
+        (tmp_path / "snapfile").mkdir()
+        (tmp_path / "snapfile" / "snapshots").write_text("")
         argv = [a.format(tmp=tmp_path) for a in argv]
         if argv[0] != "selftest" and "--out" not in argv:
             argv += ["--out", str(tmp_path / "o")]
+        work = tmp_path / "work"  # the working directory, empty
+        work.mkdir()
         out = subprocess.run(
             [sys.executable, "-m", "eulerreach.benchcli", *argv],
-            env={**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)},
-            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                os.path.abspath(p) for p in sys.path if p)},
+            capture_output=True, text=True, timeout=60, cwd=work,
         )
         assert out.returncode == code
         assert "Traceback" not in out.stderr
         prefix = "config error:" if code == EXIT_CONFIG else "resource cap:"
         assert out.stderr.startswith(prefix)
+        assert list(work.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--eps-list", "0.5", "--ladder", "4,2,1"],

@@ -37,6 +37,14 @@ class TestConstruction:
         assert disc.levels.tolist() == [2] * 4
         assert uniform_discretization(1.0, 3).levels is None
 
+    @pytest.mark.parametrize("T", [1.0, 1e-3, 3.0, 1e4])
+    def test_nodes_may_miss_the_running_sum_by_rounding(self, T):
+        for n in (1, 3, 7, 1000):
+            uniform_discretization(T, n)
+        # within 1e-9 * max(1, T) of the running sum of h
+        off = 0.9e-9 * max(1.0, T)
+        Discretization(T, (T / 2, T / 2), (0.0, T / 2 + off, T), (1.0, 1.0, 1.0))
+
     def test_uniform_last_node_exact(self):
         # T/n may not be exactly representable; the last node must still be T
         disc = uniform_discretization(1.0, 7)
@@ -53,6 +61,10 @@ class TestConstruction:
             Discretization(1.0, (-1.0,), (0.0, 1.0), (1.0, 1.0))
         with pytest.raises(ValueError):
             Discretization(1.0, (0.5,), (0.0, 0.5), (1.0, 1.0))
+        with pytest.raises(ValueError, match="step by h"):
+            Discretization(1.0, (0.5, 0.5), (0.0, 0.9, 1.0), (1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="step by h"):
+            Discretization(4.0, (1.0, 3.0), (0.0, 1.0 + 5e-9, 4.0), (1.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             initial_discretization(0.0, 1.0, 1.0)
         with pytest.raises(ValueError):

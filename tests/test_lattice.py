@@ -129,6 +129,25 @@ def _union_oracle(lo: np.ndarray, hi: np.ndarray) -> list:
     return sorted(pts)
 
 
+def _runs_oracle(points: list) -> list:
+    """Maximal runs along the last axis of sorted unique point tuples, as
+    (start, length) pairs, grouped one point at a time."""
+    runs = []
+    for p in points:
+        if runs:
+            start, n = runs[-1]
+            if start[:-1] == p[:-1] and start[-1] + n == p[-1]:
+                runs[-1] = (start, n + 1)
+                continue
+        runs.append((p, 1))
+    return runs
+
+
+def _runs_of(starts: np.ndarray, lengths: np.ndarray) -> list:
+    assert starts.dtype == np.int64 and lengths.dtype == np.int64
+    return list(zip(map(tuple, starts.tolist()), lengths.tolist()))
+
+
 def _union_cases() -> list:
     cases = [
         pytest.param(
@@ -174,12 +193,37 @@ class TestUnionOfBoxes:
         lo_before, hi_before = lo.copy(), hi.copy()
         got = union_of_boxes(lo, hi)
         assert np.array_equal(lo, lo_before) and np.array_equal(hi, hi_before)
-        assert got.dtype == np.int64
-        assert got.tolist() == [list(p) for p in _union_oracle(lo, hi)]
+        assert _runs_of(*got) == _runs_oracle(_union_oracle(lo, hi))
 
     def test_empty(self):
         empty = np.empty((0, 2), dtype=np.int64)
-        assert union_of_boxes(empty, empty).shape == (0, 2)
+        starts, lengths = union_of_boxes(empty, empty)
+        assert starts.shape == (0, 2) and lengths.shape == (0,)
+
+    @pytest.mark.parametrize(
+        "lo,hi",
+        [
+            pytest.param([[0]], [[99]], id="one_box_d1"),
+            pytest.param([[-40], [0], [31]], [[-1], [30], [60]], id="touching_d1"),
+            pytest.param([[-40], [1]], [[-1], [60]], id="gap_d1"),
+            pytest.param([[3, -50], [3, 0]], [[3, -1], [3, 70]], id="one_row_d2"),
+            pytest.param([[1, 2, -9], [1, 2, 5]], [[1, 2, 4], [1, 2, 40]], id="one_row_d3"),
+        ],
+    )
+    def test_split_of_the_last_axis_keeps_runs_maximal(self, lo, hi, monkeypatch):
+        lo, hi = np.array(lo), np.array(hi)
+        want = _runs_of(*union_of_boxes(lo, hi))
+        assert want == _runs_oracle(_union_oracle(lo, hi))
+        # every axis but the last spans one index, so the split cuts the last
+        monkeypatch.setattr(lattice, "RASTER_BUDGET", 8)
+        assert _runs_of(*union_of_boxes(lo, hi)) == want
+
+    def test_a_100_by_100_box_is_100_runs(self):
+        starts, lengths = union_of_boxes(np.array([[0, 0]]), np.array([[99, 99]]))
+        assert starts.tolist() == [[i, 0] for i in range(100)]
+        assert lengths.tolist() == [100] * 100
+        s = project_box(Box([0.0, 0.0], [99.0, 99.0]), 1.0)
+        assert s.cardinality == 10_000 and s.lengths.tolist() == [100] * 100
 
 
 class TestLatticeSet:
@@ -228,6 +272,34 @@ class TestLatticeSet:
         with pytest.raises(ValueError):
             LatticeSet(-1.0, np.zeros((1, 2), dtype=np.int64))
 
+    @pytest.mark.parametrize(
+        "starts,lengths",
+        [
+            pytest.param([[0, 0], [0, 2]], [2, 1], id="touching"),
+            pytest.param([[0, 0], [0, 1]], [2, 1], id="overlapping"),
+            pytest.param([[0, 5], [0, 0]], [1, 1], id="unsorted_last_axis"),
+            pytest.param([[1, 0], [0, 9]], [1, 1], id="unsorted_first_axis"),
+            pytest.param([[0, 0], [0, 0]], [1, 1], id="repeated"),
+            pytest.param([[0, 0], [0, 5]], [1, 0], id="empty_run"),
+            pytest.param([[0, 0]], [1, 1], id="length_count"),
+            pytest.param(np.empty((0, 2)), [], id="no_runs"),
+        ],
+    )
+    def test_runs_are_checked(self, starts, lengths):
+        with pytest.raises(ValueError):
+            LatticeSet(0.5, runs=(np.array(starts), np.array(lengths)))
+
+    def test_points_or_runs(self):
+        pts = np.zeros((1, 2), dtype=np.int64)
+        with pytest.raises(ValueError):
+            LatticeSet(0.5)
+        with pytest.raises(ValueError):
+            LatticeSet(0.5, pts, runs=(pts, np.ones(1)))
+
+    def test_runs_of_other_rows_may_touch_across_the_row_end(self):
+        s = LatticeSet(0.5, runs=(np.array([[0, 0], [1, 2]]), np.array([3, 1])))
+        assert s.points.tolist() == [[0, 0], [0, 1], [0, 2], [1, 2]]
+
 
 def _sorted_unique_oracle(pts: np.ndarray) -> bool:
     rows = list(map(tuple, pts.tolist()))
@@ -272,6 +344,29 @@ class TestIsSortedUnique:
             assert lattice._is_sorted_unique(pts) is want, name
             seen.add(want)
         assert seen == {True, False}
+
+
+class TestRuns:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_points_runs_points_round_trip(self, d):
+        for name, pts in _sorted_unique_cases(d):
+            want = sorted(set(map(tuple, pts.tolist())))
+            s = LatticeSet(0.5, pts)
+            assert _runs_of(s.starts, s.lengths) == _runs_oracle(want), name
+            assert s.cardinality == len(want), name
+            assert s.points.dtype == np.int64, name
+            assert list(map(tuple, s.points.tolist())) == want, name
+            again = LatticeSet(0.5, runs=(s.starts, s.lengths))
+            assert np.array_equal(again.points, s.points), name
+
+    def test_points_are_expanded_on_every_read(self):
+        s = LatticeSet(0.5, np.array([[0, 1], [0, 2], [3, 4]]))
+        first = s.points
+        first[0, 0] = 7
+        assert s.points.tolist() == [[0, 1], [0, 2], [3, 4]]
+        assert s.points is not s.points
+        with pytest.raises(AttributeError):
+            s.points = first
 
 
 class TestProjectBox:

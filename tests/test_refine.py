@@ -310,6 +310,19 @@ class TestAdaptiveSolver:
             assert replay.n == it.n_after
         assert np.array_equal(replay.h, disc.h) and np.array_equal(replay.rho, disc.rho)
 
+    def test_one_dimensional_sets_are_one_run_each(self):
+        """Adaptive exp d=1 down to 2**-6: every set of its 12 threshold
+        runs is one run of consecutive indices, so the 3,145,435 points of
+        its 1,294 sets are stored as 1,294 runs."""
+        system = make_exponential_system(1, 1.0)
+        L, P = system.lipschitz, system.bound
+        e0 = error_total(initial_discretization(1.0, L, P), L, P)
+        _, _, trace = algorithm_adaptive(system, default_ladder(e0, 2.0**-6))
+        sets = [s for th in trace.thresholds for s in th.record.sets]
+        assert len(trace.thresholds) == 12 and len(sets) == 1294
+        assert [s.lengths.size for s in sets] == [1] * 1294
+        assert sum(s.cardinality for s in sets) == 3_145_435
+
     def test_invalid_ladders(self):
         system = make_exponential_system(1, 1.0)
         with pytest.raises(ValueError):
