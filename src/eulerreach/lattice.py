@@ -225,9 +225,15 @@ class LatticeSet:
 def _is_sorted_unique(pts: np.ndarray) -> bool:
     """Rows strictly increasing in lexicographic order (no duplicates)."""
     a, b = pts[1:], pts[:-1]
+    return _increasing(a, b, a[:, -1] > b[:, -1])
+
+
+def _increasing(a: np.ndarray, b: np.ndarray, last: np.ndarray) -> bool:
+    """Every row of a follows the row of b beside it: its earlier columns
+    are lexicographically greater, or equal with ``last`` true."""
+    res = last
     # from the last column to the first: row > previous row on columns c..d-1
-    res = a[:, -1] > b[:, -1]
-    for c in range(pts.shape[1] - 2, -1, -1):
+    for c in range(a.shape[1] - 2, -1, -1):
         res = (a[:, c] > b[:, c]) | ((a[:, c] == b[:, c]) & res)
     return bool(res.all())
 
@@ -263,9 +269,7 @@ def _runs_are_maximal(starts: np.ndarray, lengths: np.ndarray) -> bool:
     # before; the difference cannot be 1 by wrapping where nxt > last
     res = nxt > last
     res &= nxt - last != 1
-    for c in range(starts.shape[1] - 2, -1, -1):
-        res = (a[:, c] > b[:, c]) | ((a[:, c] == b[:, c]) & res)
-    return bool(res.all())
+    return _increasing(a, b, res)
 
 
 def hausdorff_to_box(A: LatticeSet, b: Box) -> float:

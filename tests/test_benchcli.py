@@ -245,6 +245,13 @@ class TestConfigParsing:
         assert default not in echoed[0].decode().splitlines()
 
 
+def _assert_writes_its_artifacts(out: Path, algorithm: str) -> None:
+    """The run wrote exactly the files that benchcli.ARTIFACTS lists, so
+    the check of artifact paths before a solve covers every file."""
+    common = {"config.txt", "summary.txt", "timing.txt"}
+    assert {p.name for p in out.iterdir()} == common | set(benchcli.ARTIFACTS[algorithm])
+
+
 class TestRunExperiment:
     def test_uniform_artifacts(self, tmp_path):
         config = ExperimentConfig(eps=1.0, out=str(tmp_path / "u"))
@@ -253,6 +260,7 @@ class TestRunExperiment:
         for name in ("config.txt", "summary.txt", "steps_uniform.csv",
                       "sigma_uniform.csv", "stepsizes_uniform.csv", "timing.txt"):
             assert (out / name).exists(), name
+        _assert_writes_its_artifacts(out, "uniform")
         assert "config_hash" in (out / "summary.txt").read_text()
 
     def test_adaptive_artifacts(self, tmp_path):
@@ -263,6 +271,7 @@ class TestRunExperiment:
         out = tmp_path / "a"
         for name in ("steps_adaptive.csv", "iterations.csv", "thresholds.csv"):
             assert (out / name).exists(), name
+        _assert_writes_its_artifacts(out, "adaptive")
         with (out / "thresholds.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["eps"] == "" and rows[0]["delta_C_metric"] == ""
@@ -273,6 +282,7 @@ class TestRunExperiment:
             algorithm="compare", eps=2.0, out=str(tmp_path / "c")
         )
         assert run_experiment(config) == EXIT_OK
+        _assert_writes_its_artifacts(tmp_path / "c", "compare")
         with (tmp_path / "c" / "comparison.csv").open() as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1
