@@ -255,16 +255,17 @@ def _encode_runs(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _runs_are_maximal(starts: np.ndarray, lengths: np.ndarray) -> bool:
     """Run starts strictly increasing in lexicographic order, every length
-    at least one, and at least one index between two runs of one row, at
-    O(R) cost."""
-    if lengths.min() < 1:
+    at least one, no run past the largest int64, and at least one index
+    between two runs of one row, at O(R) cost."""
+    # each run's last index, below its start where it wraps past int64
+    last = starts[:, -1] + lengths
+    last -= 1
+    if not (lengths.min() >= 1 and (last >= starts[:, -1]).all()):
         return False
     if lengths.size == 1:  # one run: nothing to order
         return True
     a, b = starts[1:], starts[:-1]
-    nxt = a[:, -1]
-    last = b[:, -1] + lengths[:-1]
-    last -= 1
+    nxt, last = a[:, -1], last[:-1]
     # in one row, a run starts past the index after the end of the one
     # before; the difference cannot be 1 by wrapping where nxt > last
     res = nxt > last

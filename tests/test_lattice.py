@@ -282,6 +282,8 @@ class TestLatticeSet:
             pytest.param([[0, 0], [0, 0]], [1, 1], id="repeated"),
             pytest.param([[0, 0], [0, 5]], [1, 0], id="empty_run"),
             pytest.param([[0, 0]], [1, 1], id="length_count"),
+            pytest.param([[0, 2**63 - 1]], [2], id="past_int64_max"),
+            pytest.param([[0, -5], [0, 2**63 - 2]], [1, 3], id="second_past_int64_max"),
             pytest.param(np.empty((0, 2)), [], id="no_runs"),
         ],
     )
