@@ -103,8 +103,11 @@ def _step(
             f"step {step}: right-hand side returned {bad} non-finite or "
             "inverted image boxes"
         )
-    # the image boxes x + h * F(x); addition commutes bit for bit, so they
-    # can be built in place, and x and F freed before the index ranges
+    # The image boxes x + h * F(x), built in place (addition commutes bit
+    # for bit).  A set keeps only its runs, so the allocator hands the
+    # step's freed temporaries back to the OS and the next step faults
+    # them in again; freeing x and F before the index ranges keeps that
+    # peak, and with it the faulting, small.
     lower = h * f_lo
     lower += x
     upper = h * f_hi
