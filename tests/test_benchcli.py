@@ -327,6 +327,11 @@ class TestRunExperiment:
         "michaelis_menten-1": ["run-adaptive", "--snapshots", "--system",
                                "michaelis_menten", "--d", "1", "--ladder",
                                "0.5,0.25,0.125"],
+        # the snapshot writer's d = 1 rows (no earlier indices) and d = 3 rows
+        "snapshots-exponential-1": ["run-adaptive", "--snapshots", "--d", "1",
+                                    "--eps", "0.125"],
+        "snapshots-exponential-3": ["run-adaptive", "--snapshots", "--d", "3",
+                                    "--eps", "0.5"],
         "compare-exponential-2": ["compare", "--d", "2", "--eps", "0.25"],
         # d = 1 and d = 3 give the volume exponents (1, 1) and (3, 3)
         "compare-exponential-1": ["compare", "--d", "1", "--eps", "0.0625"],
@@ -358,6 +363,26 @@ class TestRunExperiment:
             "summary.txt": "494bc3e55aa81da7bdcf8815b548a207bf8fd58d5157730ab2fbd6e3fc598832",
             "thresholds.csv": "a77b9b5096a0827f3e8cbea5601fa6ab488ae6d8bd4ff8b5b5d04c941770487a",
             "snapshots": "6820c4236a1088f5b9408db6a9f959638c0aad5f4e226b635a2743499270abc0",
+        },
+        "snapshots-exponential-1": {
+            "config.txt": "d5ef8b59c2cd3ad54b49c5c3ceaca61ec893b3addd7f0e26a333d863ff355e7b",
+            "iterations.csv": "0fbf45fb1a7c3cd3bd53e68e2b3cf3b0868fd5f6de09d1a5ee1f8bf610fb997f",
+            "sigma_adaptive.csv": "dfaf1a11cc2e703ff3ee5faa4f113b3eb2a3ee347efcfa8e38e59bcbfa064f52",
+            "steps_adaptive.csv": "3f6d587f248a87613582726c452bf5fb6404e531126ca81866bfeb9f57ff8720",
+            "stepsizes_adaptive.csv": "a50ed05a16518b49920d9db47738fe8c2cee4594b7efcbf683b7ea977614efae",
+            "summary.txt": "54b42ac62c17aa5a0666c7070524547f78b880bc9f447a881aebacdc21959086",
+            "thresholds.csv": "c30cd78d8ee6afe9bfabfc0896880bfadfa4b267a6260ca0f47126979cfc0821",
+            "snapshots": "b9a917d80f7352f55c5a57dc68615077f0f15a9fb67608c5f79f3835e3aadb87",
+        },
+        "snapshots-exponential-3": {
+            "config.txt": "084199edcbdd1359280d558163466b47414a8a0b90f4493991dacc862194fc8d",
+            "iterations.csv": "24e343bccae7f69b8fb1221134fb924a746e4b13345c170a842c8d88bab04f43",
+            "sigma_adaptive.csv": "150af5c147d356724846f07a3531334b5d3dacb3c9dbd92cce1bf1ef1e317ec3",
+            "steps_adaptive.csv": "7edd40a585162b2f971692fd70add9dc860492eff6b0af683917c0e4601f8612",
+            "stepsizes_adaptive.csv": "3c626714664578fa86a0fb7323d2763631ddfd8d7d20deb50ccd26a69464d957",
+            "summary.txt": "c2e0c241834cdc57f3714172b0a6605c50c4ec57795a127dad170855e26b50ad",
+            "thresholds.csv": "7edaeaa18932fe976607aefaeefe9a279d76a08b15046315cf749f88f9d02a21",
+            "snapshots": "4210665d25c933396011946735ddbe27ce1d211a389e4a670472c397c1f985a5",
         },
         "compare-exponential-2": {
             "comparison.csv": "cd4b0be32e8773af4c6a516d71f7627846f8d710dfb74de6d1aba0f7a923536d",
