@@ -219,10 +219,17 @@ def _write_trace(outdir: Path, trace: RefinementTrace) -> None:
 def _write_snapshots(outdir: Path, record: RunRecord) -> None:
     snapdir = outdir / "snapshots"
     snapdir.mkdir(parents=True, exist_ok=True)
+    written = set()
     for j, s in enumerate(record.sets):
-        with (snapdir / f"step_{j:05d}.txt").open("w") as fh:
+        name = f"step_{j:05d}.txt"
+        with (snapdir / name).open("w") as fh:
             fh.write(f"# t={_fmt(record.disc.t[j])}\n")
             s.write_text(fh)
+        written.add(name)
+    # a rerun into the same directory keeps no step of an earlier run
+    for path in snapdir.glob("step_*.txt"):
+        if path.name not in written:
+            path.unlink()
 
 
 # ---------------------------------------------------------------------------

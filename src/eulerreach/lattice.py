@@ -4,9 +4,13 @@ A set is stored as the maximal runs of consecutive indices along the last
 axis: an (R, d) int64 array of run starts, sorted, and their lengths.  A
 set of N points in a few long rows then takes a few rows of memory, not N;
 the sorted (N, d) index rows and the state coordinates rho * z are
-expanded from the runs on demand and not kept.  The projector maps a box b
-to all lattice points within max-norm rho/2 of it, i.e. the per-axis index
-ranges ceil((lower - rho/2)/rho) .. floor((upper + rho/2)/rho).
+expanded from the runs on demand and not kept.  The text writer reads the
+runs, not the rows: it formats each held last-axis index once, into a table
+that covers only held indices, and each run's earlier indices once.
+
+The projector maps a box b to all lattice points within max-norm rho/2 of
+it, i.e. the per-axis index ranges
+ceil((lower - rho/2)/rho) .. floor((upper + rho/2)/rho).
 
 Boundary ties (points at distance exactly rho/2) belong to the closed
 ball and are included; index computation widens each quotient q by
@@ -215,11 +219,48 @@ class LatticeSet:
         return self.resolution * self.points
 
     def write_text(self, fh) -> None:
-        """Plain-text export: header with rho and d, one index row per point."""
+        """Plain-text export: header with rho and d, one index row per point.
+
+        Written from the runs; the points are not expanded.  The last
+        indices the runs hold are formatted once each into a table, which
+        covers only held indices (at most ``cardinality`` entries, however
+        far apart they lie); a run is then its earlier indices, formatted
+        once, joined with its slice of the table.
+        """
         fh.write(f"# rho={self.resolution!r} d={self.dim} n={self.cardinality}\n")
-        # one % over Python ints: exact across the int64 range
-        row = "%d " * (self.dim - 1) + "%d\n"
-        fh.write((row * self.cardinality) % tuple(self.points.ravel().tolist()))
+        first = self.starts[:, -1]
+        order = np.argsort(first)
+        lo = first[order]
+        hi = lo + (self.lengths[order] - 1)
+        # merge the runs' last-axis intervals, in order of their starts,
+        # into disjoint pieces: a run opens a piece when it starts past the
+        # furthest end before it.  Starts are compared with ends, not with
+        # end + 1, so nothing wraps at the largest int64; pieces that only
+        # touch stay apart, which costs nothing.
+        reach = np.maximum.accumulate(hi)
+        new = np.ones(lo.size, dtype=bool)
+        np.greater(lo[1:], reach[:-1], out=new[1:])
+        begin = np.flatnonzero(new)
+        piece_lo = lo[begin]
+        piece_hi = reach[np.append(begin[1:], lo.size) - 1]
+        table = [
+            f"{v}\n"
+            for a, b in zip(piece_lo.tolist(), piece_hi.tolist())
+            for v in range(a, b + 1)
+        ]
+        # each run's first entry in the table: its piece's offset plus its
+        # start's distance into the piece
+        width = piece_hi - piece_lo + 1
+        piece = np.cumsum(new) - 1
+        at = np.empty_like(first)
+        at[order] = (np.cumsum(width) - width)[piece] + (lo - piece_lo[piece])
+        end = at + self.lengths
+        # one % over Python ints per run: exact across the int64 range
+        head = "%d " * (self.dim - 1)
+        heads = [head % tuple(r) for r in self.starts[:, :-1].tolist()]
+        fh.write("".join([
+            h + h.join(table[a:b]) for h, a, b in zip(heads, at.tolist(), end.tolist())
+        ]))
 
 
 def _is_sorted_unique(pts: np.ndarray) -> bool:

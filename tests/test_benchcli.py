@@ -299,6 +299,20 @@ class TestRunExperiment:
         assert first[0].startswith("# t=")
         assert first[1].startswith("# rho=")
 
+    def test_rerun_removes_stale_snapshots(self, tmp_path):
+        """A shorter rerun into the same directory leaves only its own steps."""
+        out = tmp_path / "o"
+        for eps in ("0.0625", "0.5"):
+            assert main(
+                ["run-adaptive", "--eps", eps, "--snapshots", "--out", str(out)]
+            ) == EXIT_OK
+        summary = (out / "summary.txt").read_text().split()
+        n = int(summary[summary.index("n") + 1])
+        assert n == 21
+        assert {p.name for p in (out / "snapshots").iterdir()} == {
+            f"step_{j:05d}.txt" for j in range(n + 1)
+        }
+
     @pytest.mark.parametrize("system, d", [("exponential", 2), ("michaelis_menten", 1)])
     def test_snapshot_bytes(self, tmp_path, system, d):
         """Every snapshot is the t line plus one row of indices per point."""

@@ -1,6 +1,7 @@
 import io
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -248,14 +249,31 @@ class TestLatticeSet:
     def test_write_text_matches_per_value_formatter(self, d):
         rng = np.random.default_rng(d)
         info = np.iinfo(np.int64)
-        for pts in (
-            rng.integers(-1000, 1000, size=(200, d)),
-            rng.integers(-1000, 1000, size=(1, d)),
-            rng.integers(-(2**40), 2**40 + 1, size=(300, d)),
-            np.array([[-(2**40)] * d, [2**40] * d]),
-            np.array([[info.min] * d, [info.max] * d]),
-        ):
-            s = LatticeSet(0.125, pts)
+        sets = [
+            LatticeSet(0.125, pts)
+            for pts in (
+                rng.integers(-1000, 1000, size=(200, d)),
+                rng.integers(-1000, 1000, size=(1, d)),
+                rng.integers(-(2**40), 2**40 + 1, size=(300, d)),
+                np.array([[-(2**40)] * d, [2**40] * d]),
+                np.array([[info.min] * d, [info.max] * d]),
+            )
+        ]
+        # overlapping long boxes: many rows share one last-axis interval
+        lo = np.array([[0] * (d - 1) + [-50], [2] * (d - 1) + [-20]])
+        hi = np.array([[3] * (d - 1) + [100], [5] * (d - 1) + [180]])
+        sets.append(LatticeSet(0.125, runs=union_of_boxes(lo, hi)))
+        # runs that leave gaps on the last axis, so the table has several
+        # pieces; for d > 1 the later rows' first runs lie inside the first
+        # row's, one after the other
+        earlier = np.array([[0], [0], [1], [1], [2]]).repeat(d - 1, axis=1)
+        last = [[-30], [5], [-28], [20], [-25]] if d > 1 else [[-30], [-10], [5], [20], [40]]
+        starts = np.hstack([earlier, last])
+        sets.append(LatticeSet(0.125, runs=(starts, np.array([10, 3, 2, 4, 2]))))
+        # runs at both ends of the int64 range, one ending at the largest
+        starts = np.array([[7] * (d - 1) + [info.min], [7] * (d - 1) + [info.max - 4]])
+        sets.append(LatticeSet(0.125, runs=(starts, np.array([3, 5]))))
+        for s in sets:
             buf = io.StringIO()
             s.write_text(buf)
             ref = io.StringIO()
@@ -263,6 +281,32 @@ class TestLatticeSet:
             for row in s.points:
                 ref.write(" ".join(str(int(v)) for v in row) + "\n")
             assert buf.getvalue() == ref.getvalue()
+
+    def test_write_text_memory_follows_held_indices(self):
+        # a table over every index between the two points would take about
+        # 60 MiB: enough to fail, not enough to exhaust memory
+        s = LatticeSet(0.5, np.array([[3, 0], [3, 2**20]]))
+        buf = io.StringIO()
+        tracemalloc.start()
+        try:
+            s.write_text(buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert buf.getvalue() == "# rho=0.5 d=2 n=2\n3 0\n3 1048576\n"
+        assert peak < 1 << 20
+
+    def test_write_text_reads_runs_not_points(self, monkeypatch):
+        s = LatticeSet(0.5, np.array([[0, 1], [0, 2], [1, 2]]))
+        expected = "# rho=0.5 d=2 n=3\n0 1\n0 2\n1 2\n"
+
+        def no_points(self):
+            raise AssertionError("points expanded")
+
+        monkeypatch.setattr(LatticeSet, "points", property(no_points))
+        buf = io.StringIO()
+        s.write_text(buf)
+        assert buf.getvalue() == expected
 
     def test_validation(self):
         with pytest.raises(ValueError):
