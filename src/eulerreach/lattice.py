@@ -231,13 +231,12 @@ class LatticeSet:
         first = self.starts[:, -1]
         order = np.argsort(first)
         lo = first[order]
-        hi = lo + (self.lengths[order] - 1)
         # merge the runs' last-axis intervals, in order of their starts,
         # into disjoint pieces: a run opens a piece when it starts past the
         # furthest end before it.  Starts are compared with ends, not with
         # end + 1, so nothing wraps at the largest int64; pieces that only
         # touch stay apart, which costs nothing.
-        reach = np.maximum.accumulate(hi)
+        reach = np.maximum.accumulate(lo + (self.lengths[order] - 1))
         new = np.ones(lo.size, dtype=bool)
         np.greater(lo[1:], reach[:-1], out=new[1:])
         begin = np.flatnonzero(new)
