@@ -7,6 +7,14 @@ cost counts projected points per source point (before dedup), which is
 exactly the work the recursion performs; the union itself is rastered on
 the bounding grid of the image boxes (see ``union_of_boxes``), so wall
 time follows the size of the set rather than that count.
+
+A run computes its steps in one workspace, a float64 buffer of four
+(d, N) slots for a set of N points in d dimensions, doubled whenever a
+set outgrows it (see ``_step``).  A set keeps only its runs, so nothing
+large outlives a step: were each step to allocate its per-point arrays
+afresh, the allocator would hand that memory back to the OS between
+steps and the next step would fault it in again.  The workspace stays
+mapped from step to step and is freed with its run.
 """
 
 from __future__ import annotations
@@ -56,8 +64,9 @@ class RunRecord:
 
 def project_box(b: Box, rho: float, cap: int = DEFAULT_CAP) -> LatticeSet:
     """Project a box onto the lattice rho * Z^d (never empty)."""
-    lo, hi = lattice_range(b.lower[None, :], b.upper[None, :], rho)
-    return _project(lo, hi, rho, cap, step=0)[0]
+    work = np.empty((4, b.dim, 1))
+    lo, hi = lattice_range(b.lower[:, None], b.upper[:, None], rho, work)
+    return _project(lo.T, hi.T, rho, cap, 0, work[2])[0]
 
 
 def euler_run(
@@ -70,10 +79,18 @@ def euler_run(
         raise ValueError("discretization horizon does not match the system")
     t0 = time.perf_counter()
     rho = disc.rho
+    d = system.dimension
     sets = [project_box(system.initial_set, rho[0], cap=cap)]
     cost_exact: list[int] = []
+    work = np.empty(0)
     for k in range(disc.n):
-        nxt, cost = _step(system, sets[k], disc.h[k], rho[k + 1], cap, step=k + 1)
+        need = 4 * d * sets[k].cardinality
+        if need > work.size:
+            # doubled, or to the need: the old workspace goes first
+            size = max(need, 2 * work.size)
+            del work
+            work = np.empty(size)
+        nxt, cost = _step(system, sets[k], disc.h[k], rho[k + 1], cap, k + 1, work)
         sets.append(nxt)
         cost_exact.append(cost)
 
@@ -93,47 +110,66 @@ def _step(
     rho_next: float,
     cap: int,
     step: int,
+    work: np.ndarray,
 ) -> tuple[LatticeSet, int]:
-    x = src.state_points()
-    f_lo, f_hi = system.rhs_batch(x)
-    ok = np.isfinite(f_lo) & np.isfinite(f_hi) & (f_lo <= f_hi)
-    if not ok.all():
+    """One Euler step from src, computed in ``work``, a 1-D float64 array
+    of at least 4 d N elements for a set of N points in d dimensions.  Its
+    head is cut into four contiguous (d, N) slots, which hold in turn: the
+    index rows (slot 1, as int64) and the state points (slot 0); the image
+    boxes (slots 2 and 3); the guard terms, then the index ranges as int64
+    (slots 0 and 1); the box sizes (slot 2).  Values change type only on
+    their way to another slot, since numpy copies the input of a cast in
+    place.  Every slot is written before it is read, so nothing is left
+    over from an earlier step."""
+    n = src.cardinality
+    w = work[: 4 * src.dim * n].reshape(4, -1, n)
+    x = np.multiply(src.expand_into(w[1].view(np.int64)), src.resolution, out=w[0])
+    # the rhs sees the (N, d) points, columns contiguous; its arrays are its
+    # own and may alias each other or x, so they are only read
+    f_lo, f_hi = system.rhs_batch(x.T)
+    # ordered rows hold no NaN, and lie between the smallest lower and the
+    # largest upper bound, so these bounds make every value finite
+    if not ((f_lo <= f_hi).all() and f_lo.min() > -np.inf and f_hi.max() < np.inf):
+        ok = np.isfinite(f_lo) & np.isfinite(f_hi) & (f_lo <= f_hi)
         bad = int(np.count_nonzero(~ok.all(axis=1)))
         raise InvariantViolation(
             f"step {step}: right-hand side returned {bad} non-finite or "
             "inverted image boxes"
         )
-    # The image boxes x + h * F(x), built in place (addition commutes bit
-    # for bit).  A set keeps only its runs, so the allocator hands the
-    # step's freed temporaries back to the OS and the next step faults
-    # them in again; freeing x and F before the index ranges keeps that
-    # peak, and with it the faulting, small.
-    lower = h * f_lo
-    lower += x
-    upper = h * f_hi
-    upper += x
-    del x, f_lo, f_hi, ok
-    lo_idx, hi_idx = lattice_range(lower, upper, rho_next)
-    del lower, upper
-    return _project(lo_idx, hi_idx, rho_next, cap, step)
+    # the image boxes x + h * F(x), as (F(x) * h) + x: the same bits
+    images = w[2:]
+    np.multiply(f_lo.T, h, out=images[0])
+    np.multiply(f_hi.T, h, out=images[1])
+    images += x
+    # free the rhs's arrays before the union allocates its own
+    del x, f_lo, f_hi
+    lo_idx, hi_idx = lattice_range(images[0], images[1], rho_next, w)
+    return _project(lo_idx.T, hi_idx.T, rho_next, cap, step, w[2])
 
 
 def _project(
-    lo_idx: np.ndarray, hi_idx: np.ndarray, rho: float, cap: int, step: int
+    lo_idx: np.ndarray,
+    hi_idx: np.ndarray,
+    rho: float,
+    cap: int,
+    step: int,
+    sizes: np.ndarray,
 ) -> tuple[LatticeSet, int]:
     """The lattice set covered by the (N, d) index boxes [lo_idx, hi_idx]
-    and their summed sizes, the cost count.  Raises ResourceCapError when
-    that count exceeds cap or reaches 2**53; the union has at most that
-    many points."""
-    # one contiguous row of box sizes per axis; the products run over the
-    # axes in order, as a per-box product would
-    sizes = np.ascontiguousarray((hi_idx - lo_idx).T, dtype=float)
+    and their summed sizes, the cost count, counted in ``sizes``, a (d, N)
+    float64 array.  Raises ResourceCapError when that count exceeds cap or
+    reaches 2**53; the union has at most that many points."""
+    # one row of box sizes per axis; the products run over the axes in
+    # order, as a per-box product would
+    np.subtract(hi_idx.T, lo_idx.T, out=sizes)
     sizes += 1.0
+    count = sizes[0]
+    for row in sizes[1:]:
+        count *= row
     # Counted in float64, which is exact below 2**53: every partial product
     # and partial sum is an integer no larger than the total.  Rounding is
     # monotone, so a total at or above 2**53 never rounds below it.
-    projected = float(np.multiply.reduce(sizes).sum())
-    del sizes
+    projected = float(count.sum())
     limit = min(cap, 2**53 - 1)
     if not projected <= limit:
         raise ResourceCapError(step=step, projected=projected, cap=limit)

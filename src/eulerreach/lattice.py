@@ -35,29 +35,39 @@ BOUNDARY_GUARD = 1e-12
 RASTER_BUDGET = 1 << 22
 
 
-def lattice_range(lower: np.ndarray, upper: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+def lattice_range(
+    lower: np.ndarray, upper: np.ndarray, rho: float, work: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Inclusive integer index ranges of the projection of [lower, upper].
 
     Accepts arrays of matching shape (vectorized over boxes).  The result
     is never empty: hi >= lo holds per axis because the inflated interval
-    has length >= rho.
+    has length >= rho.  The ranges are computed in ``work``, a float64 array
+    of shape (4, *lower.shape), allocated when not given: the quotients in
+    work[2:] (lower and upper may be work[2] and work[3] themselves), the
+    guard terms in work[:2], which then receive lo and hi as int64.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
+    if work is None:
+        work = np.empty((4, *np.shape(lower)))
     # q -/+ BOUNDARY_GUARD * (|q| + 1) with q = (bound -/+ rho/2) / rho,
-    # in place to spare the temporaries
-    qlo = np.add(lower, -rho / 2.0, dtype=float)
-    qhi = np.add(upper, rho / 2.0, dtype=float)
-    g = None
-    for q, guard in ((qlo, -BOUNDARY_GUARD), (qhi, BOUNDARY_GUARD)):
-        q /= rho
-        g = np.abs(q, out=g)
-        g += 1.0
-        g *= guard
-        q += g
-    lo = np.ceil(qlo, out=qlo).astype(np.int64)
-    hi = np.floor(qhi, out=qhi).astype(np.int64)
-    if np.any(hi < lo):
+    # both sides at once
+    q, g = work[2:], work[:2]
+    np.add(lower, -rho / 2.0, out=q[0])
+    np.add(upper, rho / 2.0, out=q[1])
+    q /= rho
+    np.abs(q, out=g)
+    g += 1.0
+    g *= BOUNDARY_GUARD
+    q[0] -= g[0]
+    q[1] += g[1]
+    # rounded into the guard terms' memory: a cast within one buffer would
+    # make numpy copy its input first
+    idx = g.view(np.int64)
+    lo = np.ceil(q[0], out=idx[0], casting="unsafe")
+    hi = np.floor(q[1], out=idx[1], casting="unsafe")
+    if (hi < lo).any():
         raise AssertionError("projection produced an empty index range")
     return lo, hi
 
@@ -203,17 +213,22 @@ class LatticeSet:
     def points(self) -> np.ndarray:
         """The (N, d) int64 index rows, sorted; expanded from the runs on
         every read and not kept."""
+        rows = np.empty((self.dim, self.cardinality), dtype=np.int64)
+        return self.expand_into(rows).T
+
+    def expand_into(self, out: np.ndarray) -> np.ndarray:
+        """Write the points into ``out``, a (d, N) int64 array, one row per
+        axis, and return it."""
         n = self.lengths
         # each run's start on each of its rows; then the last index of a
         # row is its position plus the run's start minus the position of
         # the run's first row (ndarray methods: this runs once a step)
         shift = self.starts[:, -1] + n
         shift -= n.cumsum()
-        rows = np.empty((self.dim, self.cardinality), dtype=np.int64)  # one per axis
         if self.dim > 1:
-            rows[:-1] = self.starts.T[:-1].repeat(n, axis=1)
-        np.add(shift.repeat(n), np.arange(self.cardinality), out=rows[-1])
-        return rows.T
+            out[:-1] = self.starts.T[:-1].repeat(n, axis=1)
+        np.add(shift.repeat(n), np.arange(self.cardinality), out=out[-1])
+        return out
 
     def state_points(self) -> np.ndarray:
         return self.resolution * self.points

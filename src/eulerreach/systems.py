@@ -106,7 +106,8 @@ def make_exponential_system(d: int, L: float) -> SystemSpec:
     def rhs_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         a = 0.9 * L * x
         b = L * x
-        return np.minimum(a, b), np.maximum(a, b)
+        lo = np.minimum(a, b)
+        return lo, np.maximum(a, b, out=a)
 
     ones = np.ones(d)
     return SystemSpec(
@@ -139,13 +140,19 @@ def make_michaelis_menten() -> SystemSpec:
     def rhs_batch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x1 = x[:, 0]
         x2 = x[:, 1]
-        f1 = -k1 * e0 * x1 + (k1 * x1 + km1) * x2
-        base = k1 * e0 * x1 - (k1 * x1 + km1) * x2
+        # the bounds as (N, 2) arrays with contiguous columns, written in place
+        lo = np.empty((2, x.shape[0])).T
+        hi = np.empty_like(lo)
+        flux = (k1 * x1 + km1) * x2
+        np.add(-k1 * e0 * x1, flux, out=lo[:, 0])
+        hi[:, 0] = lo[:, 0]
+        base = k1 * e0 * x1 - flux
         # sign-aware interval product of [k2lo, k2hi] with x2; states can
         # leave the positive quadrant at coarse resolutions
-        lo2 = base - np.maximum(k2lo * x2, k2hi * x2)
-        hi2 = base - np.minimum(k2lo * x2, k2hi * x2)
-        return np.stack([f1, lo2], axis=1), np.stack([f1, hi2], axis=1)
+        a, b = k2lo * x2, k2hi * x2
+        np.subtract(base, np.maximum(a, b), out=lo[:, 1])
+        np.subtract(base, np.minimum(a, b), out=hi[:, 1])
+        return lo, hi
 
     return SystemSpec(
         name="michaelis_menten",

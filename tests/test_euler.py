@@ -1,13 +1,14 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from eulerreach.discretization import uniform_discretization
 from eulerreach.errors import InvariantViolation, ResourceCapError
-from eulerreach.euler import _project, euler_run
+from eulerreach.euler import DEFAULT_CAP, _project, _step, euler_run
 from eulerreach.lattice import lattice_range
-from eulerreach.refine import VolumeSplines, error_total
+from eulerreach.refine import VolumeSplines, algorithm_uniform, error_total
 from eulerreach.systems import make_exponential_system, make_michaelis_menten
 
 
@@ -102,16 +103,16 @@ class TestEulerRun:
         lo = np.zeros((1, 2), dtype=np.int64)
         hi = np.array([[2**27, 2**26 - 1]])
         with pytest.raises(ResourceCapError) as info:
-            _project(lo, hi, 1.0, 2**62, step=3)
+            _project(lo, hi, 1.0, 2**62, 3, np.empty((2, 1)))
         assert info.value.step == 3 and info.value.cap == 2**53 - 1
 
     def test_cap_admits_a_count_equal_to_it(self):
         lo = np.zeros((2, 1), dtype=np.int64)
         hi = np.array([[4], [2]])
-        s, cost = _project(lo, hi, 0.5, 8, step=1)
+        s, cost = _project(lo, hi, 0.5, 8, 1, np.empty((1, 2)))
         assert cost == 8 and s.points.ravel().tolist() == [0, 1, 2, 3, 4]
         with pytest.raises(ResourceCapError):
-            _project(lo, hi, 0.5, 7, step=1)
+            _project(lo, hi, 0.5, 7, 1, np.empty((1, 2)))
 
     def test_michaelis_menten_runs(self):
         system = make_michaelis_menten()
@@ -128,6 +129,22 @@ def _swapped(lo, hi):
     lo[0], hi[0] = hi[0].copy(), lo[0].copy()
 
 
+def _inf_both(lo, hi):
+    lo[0, 0] = hi[0, 0] = np.inf
+
+
+def _neg_inf_lower(lo, hi):
+    lo[0, 1] = -np.inf
+
+
+def _inf_upper(lo, hi):
+    hi[0, 1] = np.inf
+
+
+def _nan_upper(lo, hi):
+    hi[0, 0] = np.nan
+
+
 class TestDeterminism:
     def test_repeat_runs_identical(self):
         system = make_michaelis_menten()
@@ -139,7 +156,9 @@ class TestDeterminism:
             assert np.array_equal(x.points, y.points)
 
 
-@pytest.mark.parametrize("corrupt", [_nan_lower, _swapped])
+@pytest.mark.parametrize(
+    "corrupt", [_nan_lower, _swapped, _inf_both, _neg_inf_lower, _inf_upper, _nan_upper]
+)
 def test_bad_rhs_box_rejected(corrupt):
     base = make_exponential_system(2, 1.0)
 
@@ -151,3 +170,40 @@ def test_bad_rhs_box_rejected(corrupt):
     system = dataclasses.replace(base, rhs_batch=rhs)
     with pytest.raises(InvariantViolation, match="step 1: right-hand side returned 1 "):
         euler_run(system, uniform_discretization(1.0, 4))
+
+
+@pytest.mark.parametrize("d, n", [(1, 12), (3, 6)])
+def test_workspace_reuse_matches_fresh_buffers(d, n):
+    """Large, small, large sets through one workspace: the same sets and
+    costs, bit for bit, as fresh NaN-filled buffers cut to each set, so no
+    step reads what an earlier one left behind."""
+    system = make_exponential_system(d, 1.0)
+    disc = uniform_discretization(1.0, n)
+    record = euler_run(system, disc)
+    largest = max(record.cardinalities)
+    work = np.full(4 * d * largest, np.nan)
+    for k in (n - 1, 0, 1, n - 2, 0, n - 1):
+        src = record.sets[k]
+        args = (system, src, disc.h[k], disc.rho[k + 1], DEFAULT_CAP, k + 1)
+        got, cost = _step(*args, work)
+        fresh, fresh_cost = _step(*args, np.full(4 * d * src.cardinality, np.nan))
+        want = record.sets[k + 1]
+        assert cost == fresh_cost == record.cost_exact[k]
+        for s in (got, fresh):
+            assert np.array_equal(s.starts, want.starts)
+            assert np.array_equal(s.lengths, want.lengths)
+    assert record.cardinalities[0] < 10 < largest
+
+
+def test_peak_memory_of_a_uniform_solve():
+    """A run's workspace is four (d, N) slots; the traced peak of the
+    benchmark's uniform d=2 solve stays under 7 MiB with it."""
+    system = make_exponential_system(2, 1.0)
+    algorithm_uniform(system, 0.1875)  # numpy's lazy set-up, untraced
+    tracemalloc.start()
+    try:
+        algorithm_uniform(system, 0.1875)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 2**20

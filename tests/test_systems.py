@@ -225,3 +225,28 @@ class TestSystemSpecValidation:
         assert system.dimension == system.initial_set.dim == 2
         with pytest.raises(ValueError, match="domain"):
             dataclasses.replace(system, domain=Box([0.0], [1.0]))
+
+
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_built_in_rhs_match_their_formulas_bit_for_bit(layout):
+    """The right-hand sides write their bounds with fewer temporaries; the
+    bits are those of the plain formulas, on random states of either sign
+    (negative x2 flips the interval product of Michaelis-Menten)."""
+    rng = np.random.default_rng(7)
+    for d, L in ((1, 1.0), (2, 1.0), (3, 2.5)):
+        x = np.asarray(rng.uniform(-3.0, 3.0, size=(500, d)), order=layout)
+        lo, hi = make_exponential_system(d, L).rhs_batch(x)
+        a, b = 0.9 * L * x, L * x
+        assert np.array_equal(lo, np.minimum(a, b)) and np.array_equal(hi, np.maximum(a, b))
+    e0, km1, k1, k2lo, k2hi = 0.6, 0.05, 0.5, 1.8, 2.0
+    x = np.asarray(rng.uniform(-1.0, 1.0, size=(500, 2)), order=layout)
+    x1, x2 = x[:, 0], x[:, 1]
+    f1 = -k1 * e0 * x1 + (k1 * x1 + km1) * x2
+    base = k1 * e0 * x1 - (k1 * x1 + km1) * x2
+    lo2 = base - np.maximum(k2lo * x2, k2hi * x2)
+    hi2 = base - np.minimum(k2lo * x2, k2hi * x2)
+    lo, hi = make_michaelis_menten().rhs_batch(x)
+    assert lo.shape == hi.shape == (500, 2)
+    assert np.array_equal(lo, np.stack([f1, lo2], axis=1))
+    assert np.array_equal(hi, np.stack([f1, hi2], axis=1))
+    assert (x2 < 0).any() and (x2 > 0).any()
