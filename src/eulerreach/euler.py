@@ -8,7 +8,7 @@ exactly the work the recursion performs; the union itself is rastered on
 the bounding grid of the image boxes (see ``union_of_boxes``), so wall
 time follows the size of the set rather than that count.
 
-A run computes its steps in one workspace, a float64 buffer of four
+A run computes its steps in one workspace, a float64 buffer of three
 (d, N) slots for a set of N points in d dimensions, doubled whenever a
 set outgrows it (see ``_step``).  A set keeps only its runs, so nothing
 large outlives a step: were each step to allocate its per-point arrays
@@ -64,7 +64,7 @@ class RunRecord:
 
 def project_box(b: Box, rho: float, cap: int = DEFAULT_CAP) -> LatticeSet:
     """Project a box onto the lattice rho * Z^d (never empty)."""
-    work = np.empty((4, b.dim, 1))
+    work = np.empty((3, b.dim, 1))
     lo, hi = lattice_range(b.lower[:, None], b.upper[:, None], rho, work)
     return _project(lo.T, hi.T, rho, cap, 0, work[2])[0]
 
@@ -84,7 +84,7 @@ def euler_run(
     cost_exact: list[int] = []
     work = np.empty(0)
     for k in range(disc.n):
-        need = 4 * d * sets[k].cardinality
+        need = 3 * d * sets[k].cardinality
         if need > work.size:
             # doubled, or to the need: the old workspace goes first
             size = max(need, 2 * work.size)
@@ -113,17 +113,17 @@ def _step(
     work: np.ndarray,
 ) -> tuple[LatticeSet, int]:
     """One Euler step from src, computed in ``work``, a 1-D float64 array
-    of at least 4 d N elements for a set of N points in d dimensions.  Its
-    head is cut into four contiguous (d, N) slots, which hold in turn: the
-    index rows (slot 1, as int64) and the state points (slot 0); the image
-    boxes (slots 2 and 3); the guard terms, then the index ranges as int64
-    (slots 0 and 1); the box sizes (slot 2).  Values change type only on
-    their way to another slot, since numpy copies the input of a cast in
-    place.  Every slot is written before it is read, so nothing is left
-    over from an earlier step."""
+    of at least 3 d N elements for a set of N points in d dimensions.  Its
+    head is cut into three contiguous (d, N) slots, which hold in turn: the
+    index rows (slot 2, as int64) and the state points (slot 0); the image
+    boxes (slots 1 and 2); the guard terms and the index ranges as int64
+    (slots 0 and 1, see ``lattice_range``); the box sizes (slot 2).  Values
+    change type only on their way to another slot, since numpy copies the
+    input of a cast in place.  Every slot is written before it is read, so
+    nothing is left over from an earlier step."""
     n = src.cardinality
-    w = work[: 4 * src.dim * n].reshape(4, -1, n)
-    x = np.multiply(src.expand_into(w[1].view(np.int64)), src.resolution, out=w[0])
+    w = work[: 3 * src.dim * n].reshape(3, -1, n)
+    x = np.multiply(src.expand_into(w[2].view(np.int64)), src.resolution, out=w[0])
     # the rhs sees the (N, d) points, columns contiguous; its arrays are its
     # own and may alias each other or x, so they are only read
     f_lo, f_hi = system.rhs_batch(x.T)
@@ -137,13 +137,13 @@ def _step(
             "inverted image boxes"
         )
     # the image boxes x + h * F(x), as (F(x) * h) + x: the same bits
-    images = w[2:]
-    np.multiply(f_lo.T, h, out=images[0])
-    np.multiply(f_hi.T, h, out=images[1])
+    images, lower, upper = w[1:], w[1], w[2]
+    np.multiply(f_lo.T, h, out=lower)
+    np.multiply(f_hi.T, h, out=upper)
     images += x
     # free the rhs's arrays before the union allocates its own
     del x, f_lo, f_hi
-    lo_idx, hi_idx = lattice_range(images[0], images[1], rho_next, w)
+    lo_idx, hi_idx = lattice_range(lower, upper, rho_next, w)
     return _project(lo_idx.T, hi_idx.T, rho_next, cap, step, w[2])
 
 
@@ -164,8 +164,8 @@ def _project(
     np.subtract(hi_idx.T, lo_idx.T, out=sizes)
     sizes += 1.0
     count = sizes[0]
-    for row in sizes[1:]:
-        count *= row
+    for a in range(1, len(sizes)):
+        count *= sizes[a]
     # Counted in float64, which is exact below 2**53: every partial product
     # and partial sum is an integer no larger than the total.  Rounding is
     # monotone, so a total at or above 2**53 never rounds below it.

@@ -43,30 +43,34 @@ def lattice_range(
     Accepts arrays of matching shape (vectorized over boxes).  The result
     is never empty: hi >= lo holds per axis because the inflated interval
     has length >= rho.  The ranges are computed in ``work``, a float64 array
-    of shape (4, *lower.shape), allocated when not given: the quotients in
-    work[2:] (lower and upper may be work[2] and work[3] themselves), the
-    guard terms in work[:2], which then receive lo and hi as int64.
+    of shape (3, *lower.shape), allocated when not given: the quotients in
+    work[1:] (lower and upper may be work[1] and work[2] themselves), each
+    side's guard term in the slot below its quotient, which then receives
+    the side's index, lo in work[0] and hi in work[1], as int64.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
     if work is None:
-        work = np.empty((4, *np.shape(lower)))
+        work = np.empty((3, *np.shape(lower)))
     # q -/+ BOUNDARY_GUARD * (|q| + 1) with q = (bound -/+ rho/2) / rho,
-    # both sides at once
-    q, g = work[2:], work[:2]
-    np.add(lower, -rho / 2.0, out=q[0])
-    np.add(upper, rho / 2.0, out=q[1])
+    # one side at a time; each side's index is rounded into another slot,
+    # since a cast within one buffer would make numpy copy its input first
+    q, q_lo, q_hi = work[1:], work[1], work[2]
+    np.add(lower, -rho / 2.0, out=q_lo)
+    np.add(upper, rho / 2.0, out=q_hi)
     q /= rho
-    np.abs(q, out=g)
+    idx = work.view(np.int64)
+    lo, hi = idx[0], idx[1]
+    g = np.abs(q_lo, out=work[0])
+    g += 1.0
+    g *= -BOUNDARY_GUARD
+    q_lo += g
+    np.ceil(q_lo, out=lo, casting="unsafe")
+    g = np.abs(q_hi, out=work[1])
     g += 1.0
     g *= BOUNDARY_GUARD
-    q[0] -= g[0]
-    q[1] += g[1]
-    # rounded into the guard terms' memory: a cast within one buffer would
-    # make numpy copy its input first
-    idx = g.view(np.int64)
-    lo = np.ceil(q[0], out=idx[0], casting="unsafe")
-    hi = np.floor(q[1], out=idx[1], casting="unsafe")
+    q_hi += g
+    np.floor(q_hi, out=hi, casting="unsafe")
     if (hi < lo).any():
         raise AssertionError("projection produced an empty index range")
     return lo, hi

@@ -181,12 +181,12 @@ def test_workspace_reuse_matches_fresh_buffers(d, n):
     disc = uniform_discretization(1.0, n)
     record = euler_run(system, disc)
     largest = max(record.cardinalities)
-    work = np.full(4 * d * largest, np.nan)
+    work = np.full(3 * d * largest, np.nan)
     for k in (n - 1, 0, 1, n - 2, 0, n - 1):
         src = record.sets[k]
         args = (system, src, disc.h[k], disc.rho[k + 1], DEFAULT_CAP, k + 1)
         got, cost = _step(*args, work)
-        fresh, fresh_cost = _step(*args, np.full(4 * d * src.cardinality, np.nan))
+        fresh, fresh_cost = _step(*args, np.full(3 * d * src.cardinality, np.nan))
         want = record.sets[k + 1]
         assert cost == fresh_cost == record.cost_exact[k]
         for s in (got, fresh):
@@ -196,7 +196,7 @@ def test_workspace_reuse_matches_fresh_buffers(d, n):
 
 
 def test_peak_memory_of_a_uniform_solve():
-    """A run's workspace is four (d, N) slots; the traced peak of the
+    """A run's workspace is three (d, N) slots; the traced peak of the
     benchmark's uniform d=2 solve stays under 7 MiB with it."""
     system = make_exponential_system(2, 1.0)
     algorithm_uniform(system, 0.1875)  # numpy's lazy set-up, untraced
