@@ -216,20 +216,30 @@ def _write_trace(outdir: Path, trace: RefinementTrace) -> None:
     )
 
 
-def _write_snapshots(outdir: Path, record: RunRecord) -> None:
-    snapdir = outdir / "snapshots"
+def _write_snapshots(snapdir: Path, record: RunRecord) -> list[Path]:
+    """One step_NNNNN.txt per set of the run; returns their paths."""
     snapdir.mkdir(parents=True, exist_ok=True)
-    written = set()
-    for j, s in enumerate(record.sets):
-        name = f"step_{j:05d}.txt"
-        with (snapdir / name).open("w") as fh:
-            fh.write(f"# t={_fmt(record.disc.t[j])}\n")
+    paths = [snapdir / f"step_{j:05d}.txt" for j in range(len(record.sets))]
+    for path, s, t in zip(paths, record.sets, record.disc.t):
+        with path.open("w") as fh:
+            fh.write(f"# t={_fmt(t)}\n")
             s.write_text(fh)
-        written.add(name)
-    # a rerun into the same directory keeps no step of an earlier run
-    for path in snapdir.glob("step_*.txt"):
-        if path.name not in written:
+    return paths
+
+
+def _remove_stale(outdir: Path, written: set[Path]) -> None:
+    """Remove what an earlier run left in outdir and this run did not write:
+    artifact files and snapshot steps, regular files only, and then the
+    snapshots directory if that empties it."""
+    snapdir = outdir / "snapshots"
+    every = {name for names in ARTIFACTS.values() for name in names}
+    for path in [*(outdir / name for name in every), *snapdir.glob("step_*.txt")]:
+        if path not in written and path.is_file():
             path.unlink()
+    try:
+        snapdir.rmdir()  # only when empty
+    except OSError:
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +317,9 @@ def run_experiment(config: ExperimentConfig) -> int:
             )
         last = adaptive
 
+    written = {outdir / name for name in ARTIFACTS[config.algorithm]}
     if config.snapshots:  # of the last run: adaptive when both ran
-        _write_snapshots(outdir, last)
+        written.update(_write_snapshots(outdir / "snapshots", last))
     if config.algorithm == "compare":
         _write_csv(outdir / "comparison.csv", COMPARISON_HEADER, [[
             chash, config.system, config.d, _fmt(config.L), _fmt(config.eps),
@@ -318,6 +329,8 @@ def run_experiment(config: ExperimentConfig) -> int:
 
     (outdir / "summary.txt").write_text("\n".join(summary) + "\n")
     (outdir / "timing.txt").write_text("\n".join(timing) + "\n")
+    # the directory then holds exactly what this run wrote
+    _remove_stale(outdir, written)
     return EXIT_OK
 
 
@@ -571,7 +584,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (InvariantViolation, AssertionError) as exc:
+    except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

@@ -35,7 +35,7 @@ from .systems import Box, SystemSpec
 DEFAULT_CAP = 50_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunRecord:
     """Everything one Euler run produces.
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvariantViolation
 from .systems import Box
 
 # relative inflation applied to index quotients at range boundaries
@@ -72,7 +73,7 @@ def lattice_range(
     q_hi += g
     np.floor(q_hi, out=hi, casting="unsafe")
     if (hi < lo).any():
-        raise AssertionError("projection produced an empty index range")
+        raise InvariantViolation("projection produced an empty index range")
     return lo, hi
 
 
@@ -164,16 +165,16 @@ def union_of_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return out.T, lengths
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class LatticeSet:
     """Deduplicated finite point set on the lattice rho * Z^d.
 
     Stored as maximal runs of consecutive indices along the last axis:
     ``starts`` (R, d) int64, lexicographically sorted, ``lengths`` (R,)
     int64, no two runs of one row touching.  Built either from points,
-    ``LatticeSet(rho, points)``, which are sorted and deduplicated first
-    when they are not already, or from such runs, ``LatticeSet(rho,
-    runs=(starts, lengths))``, which are checked and kept as given.
+    ``LatticeSet(rho, points)``, which are sorted, deduplicated and encoded
+    as runs, or from such runs, ``LatticeSet(rho, runs=(starts,
+    lengths))``; either way the runs are checked and kept as given.
     """
 
     resolution: float
@@ -188,16 +189,13 @@ class LatticeSet:
             pts = np.asarray(points, dtype=np.int64)
             if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
                 raise ValueError("points must be a nonempty (N, d) array, d >= 1")
-            if not _is_sorted_unique(pts):
-                pts = np.unique(pts, axis=0)
-            starts, lengths = _encode_runs(pts)
-        else:
-            starts = np.asarray(runs[0], dtype=np.int64)
-            lengths = np.asarray(runs[1], dtype=np.int64)
-            if starts.ndim != 2 or starts.shape[0] < 1 or starts.shape[1] < 1:
-                raise ValueError("run starts must be a nonempty (R, d) array, d >= 1")
-            if lengths.shape != starts.shape[:1] or not _runs_are_maximal(starts, lengths):
-                raise ValueError("runs must be sorted, nonempty and apart")
+            runs = _encode_runs(np.unique(pts, axis=0))
+        starts = np.asarray(runs[0], dtype=np.int64)
+        lengths = np.asarray(runs[1], dtype=np.int64)
+        if starts.ndim != 2 or starts.shape[0] < 1 or starts.shape[1] < 1:
+            raise ValueError("run starts must be a nonempty (R, d) array, d >= 1")
+        if lengths.shape != starts.shape[:1] or not _runs_are_maximal(starts, lengths):
+            raise ValueError("runs must be sorted, nonempty and apart")
         if resolution <= 0:
             raise ValueError("resolution must be positive")
         starts.setflags(write=False)
@@ -281,22 +279,6 @@ class LatticeSet:
         ]))
 
 
-def _is_sorted_unique(pts: np.ndarray) -> bool:
-    """Rows strictly increasing in lexicographic order (no duplicates)."""
-    a, b = pts[1:], pts[:-1]
-    return _increasing(a, b, a[:, -1] > b[:, -1])
-
-
-def _increasing(a: np.ndarray, b: np.ndarray, last: np.ndarray) -> bool:
-    """Every row of a follows the row of b beside it: its earlier columns
-    are lexicographically greater, or equal with ``last`` true."""
-    res = last
-    # from the last column to the first: row > previous row on columns c..d-1
-    for c in range(a.shape[1] - 2, -1, -1):
-        res = (a[:, c] > b[:, c]) | ((a[:, c] == b[:, c]) & res)
-    return bool(res.all())
-
-
 def _encode_runs(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Maximal runs along the last axis of sorted, unique (N, d) rows."""
     n = pts.shape[0]
@@ -329,7 +311,11 @@ def _runs_are_maximal(starts: np.ndarray, lengths: np.ndarray) -> bool:
     # before; the difference cannot be 1 by wrapping where nxt > last
     res = nxt > last
     res &= nxt - last != 1
-    return _increasing(a, b, res)
+    # from the last column to the first: a run's start follows the one
+    # before on columns c..d-1
+    for c in range(a.shape[1] - 2, -1, -1):
+        res = (a[:, c] > b[:, c]) | ((a[:, c] == b[:, c]) & res)
+    return bool(res.all())
 
 
 def hausdorff_to_box(A: LatticeSet, b: Box) -> float:

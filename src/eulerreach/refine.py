@@ -43,29 +43,21 @@ def delta_error_all(disc: Discretization, L: float, P: float) -> np.ndarray:
     """
     if not coupling_satisfied(disc, L, P):
         raise CouplingError("delta_error_all requires rho_j = 2*L*P*h_j^2, j >= 1")
-    return _delta_error_window(disc, L, P, 0, disc.n + 1)
+    return _delta_error(disc, L, P)
 
 
-def _delta_error_window(
-    disc: Discretization, L: float, P: float, a: int, b: int
-) -> np.ndarray:
-    """delta_error_all at the subdivision indices a <= k < b."""
-    T = disc.horizon
-    lo = max(a, 1)
-    h = disc.h[lo - 1 : b - 1]
-    t = disc.t[lo:b]
+def _delta_error(disc: Discretization, L: float, P: float) -> np.ndarray:
+    """delta_error_all without the coupling check."""
+    T, h, t = disc.horizon, disc.h, disc.t[1:]
     tail = -np.exp(L * (T - t)) * np.expm1(L * h) * (P * h + 0.75 * L * P * h * h)
-    if a > 0:
-        return tail
-    head = -0.375 * math.exp(L * T) * disc.rho[0]
-    return np.concatenate(([head], tail))
+    return np.concatenate(([-0.375 * math.exp(L * T) * disc.rho[0]], tail))
 
 
 # ---------------------------------------------------------------------------
 # cost estimator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VolumeSplines:
     """Piecewise-linear surrogate volume interpolants on [0, T].
 
@@ -143,36 +135,18 @@ def delta_cost_all(
     the last summand alone survives scaled variants at the boundary
     branches k = 0 and k = n.  Strictly positive for positive inputs.
     """
-    return _delta_cost_window(disc, splines, d_R, d_F, 0, disc.n + 1)
-
-
-def _delta_cost_window(
-    disc: Discretization, splines: VolumeSplines, d_R: int, d_F: int, a: int, b: int
-) -> np.ndarray:
-    """delta_cost_all at the subdivision indices a <= k < b.
-
-    Every entry is the same elementwise expression whatever the window, so
-    a window matches the full array bit for bit.
-    """
-    n = disc.n
     V = splines.v_RF
     h, t, rho = disc.h, disc.t, disc.rho
-    out = np.empty(b - a)
-    if a == 0:
-        out[0] = V(0.0) * (4**d_R - 1) / rho[0] ** d_R * (h[0] / rho[1]) ** d_F
-    lo = max(a, 1)
-    hk = h[lo - 1 : b - 1]
-    rk = rho[lo:b]
-    mid = V(t[lo:b] - hk / 2.0) * (2.0 * hk / rk) ** d_F * (4.0 / rk) ** d_R
-    rp = rho[lo - 1 : b - 1]
-    prev = V(t[lo - 1 : b - 1]) * (2**d_F - 1) / rp**d_R * (hk / rk) ** d_F
-    out[lo - a :] = mid + prev
-    c = min(b, n)  # k = n has no next interval
-    if c > lo:
-        rc, rn = rho[lo:c], rho[lo + 1 : c + 1]
-        out[lo - a : c - a] += (
-            V(t[lo:c]) * (4**d_R - 1) / rc**d_R * (h[lo:c] / rn) ** d_F
-        )
+    r = rho[1:]
+    # terms that two branches share: V(t_j), rho_j^d_R, (h_j / rho_{j+1})^d_F
+    v, rho_R, h_F = V(t), rho**d_R, (h / r) ** d_F
+    out = np.empty(disc.n + 1)
+    # scalar **, which can differ from numpy's array ** in the last bit
+    out[0] = V(0.0) * (4**d_R - 1) / rho[0] ** d_R * (h[0] / rho[1]) ** d_F
+    mid = V(t[1:] - h / 2.0) * (2.0 * h / r) ** d_F * (4.0 / r) ** d_R
+    out[1:] = mid + v[:-1] * (2**d_F - 1) / rho_R[:-1] * h_F
+    # k = n has no next interval
+    out[1:-1] += v[1:-1] * (4**d_R - 1) / rho_R[1:-1] * h_F[1:]
     return out
 
 
@@ -239,7 +213,7 @@ class IterationRecord:
     error_after: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThresholdRecord:
     ell: int
     eps: float | None  # None for the unconditional first run
@@ -248,7 +222,7 @@ class ThresholdRecord:
     time_refine: float
 
 
-@dataclass
+@dataclass(eq=False)
 class RefinementTrace:
     iterations: list[IterationRecord] = field(default_factory=list)
     thresholds: list[ThresholdRecord] = field(default_factory=list)
@@ -296,17 +270,16 @@ def algorithm_adaptive(
     for ell, eps in enumerate([None, *ladder]):
         t0 = time.perf_counter()
         if eps is not None and err > eps:
-            # in full once per threshold, since the splines changed; then
-            # entry by entry as the discretization is subdivided
+            # the coupling is checked once per threshold: subdivide keeps it
             de = delta_error_all(disc, L, P)
-            dc = delta_cost_all(disc, splines, d_R, d_F)
             while err > eps:
+                dc = delta_cost_all(disc, splines, d_R, d_F)
                 # argmax takes the first maximum: ties go to the smallest
                 # index, so refinement paths are reproducible
                 k = int(np.argmax(-de / dc))
                 delta_e, delta_c = float(de[k]), float(dc[k])
                 disc = subdivide(disc, k)
-                de, dc = _update_deltas(de, dc, disc, k, L, P, splines, d_R, d_F)
+                de = _delta_error(disc, L, P)
                 new_err = error_total(disc, L, P)
                 if not new_err < err:
                     raise InvariantViolation(
@@ -329,26 +302,6 @@ def algorithm_adaptive(
     if not record.error_bound <= ladder[-1]:
         raise InvariantViolation("final run does not meet the target tolerance")
     return disc, record, trace
-
-
-def _update_deltas(
-    de: np.ndarray, dc: np.ndarray, disc: Discretization, k: int,
-    L: float, P: float, splines: VolumeSplines, d_R: int, d_F: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """delta_error_all and delta_cost_all of disc = subdivide(old, k), from
-    those of old: subdividing at k >= 1 inserts node k and rewrites nodes k
-    and k + 1, which only de[k:k+2] and dc[k-1:k+3] read; at k = 0 only
-    rho_0 changes, which only de[0] and dc[0:2] read."""
-    if k == 0:
-        de_hi = 1
-    else:
-        de_hi = k + 2
-        de = np.concatenate((de[: k + 1], de[k:]))
-        dc = np.concatenate((dc[: k + 1], dc[k:]))
-    de[k:de_hi] = _delta_error_window(disc, L, P, k, de_hi)
-    a, b = max(k - 1, 0), min(k + 3, disc.n + 1)
-    dc[a:b] = _delta_cost_window(disc, splines, d_R, d_F, a, b)
-    return de, dc
 
 
 def estimator_relative_error(record: RunRecord, splines: VolumeSplines) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 CONSTANT_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Box:
     """Nonempty axis-aligned box [lower, upper] in R^d (point boxes allowed)."""
 
@@ -54,7 +54,7 @@ class Box:
 BatchRhs = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemSpec:
     """One differential-inclusion benchmark instance.
 

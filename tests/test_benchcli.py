@@ -625,6 +625,38 @@ class TestMainExitCodes:
         assert list((out / "snapshots").glob("step_*.txt"))
 
 
+def _cli(*argv: str) -> None:
+    """Run the command line in a fresh interpreter; it must exit 0."""
+    subprocess.run(
+        [sys.executable, "-m", "eulerreach.benchcli", *argv],
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            os.path.abspath(p) for p in sys.path if p)},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+
+
+class TestRerunIntoOneDirectory:
+    """An output directory holds what its last run wrote."""
+
+    def test_adaptive_after_compare(self, tmp_path):
+        out = str(tmp_path / "st")
+        _cli("compare", "--eps", "2", "--out", out)
+        _cli("run-adaptive", "--eps", "2", "--out", out)
+        _assert_writes_its_artifacts(tmp_path / "st", "adaptive")
+
+    def test_no_snapshots_after_snapshots(self, tmp_path):
+        out = tmp_path / "st2"
+        _cli("run-adaptive", "--eps", "2", "--snapshots", "--out", str(out))
+        assert list((out / "snapshots").glob("step_*.txt"))
+        # only regular files go: a directory named like an artifact stays
+        (out / "comparison.csv").mkdir()
+        _cli("run-adaptive", "--eps", "1", "--out", str(out))
+        assert not (out / "snapshots").exists()
+        assert (out / "comparison.csv").is_dir()
+        (out / "comparison.csv").rmdir()
+        _assert_writes_its_artifacts(out, "adaptive")
+
+
 class TestSelftest:
     def test_passes_and_prints(self, capsys):
         assert benchcli.selftest(seed=0) == EXIT_OK

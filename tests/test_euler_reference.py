@@ -23,14 +23,30 @@ from eulerreach.euler import euler_run
 from eulerreach.systems import Box, SystemSpec, make_exponential_system, make_michaelis_menten
 
 
+def _exact_range(lower: float, upper: float, rho: float) -> tuple[int, int]:
+    """ceil((lower - rho/2) / rho) and floor((upper + rho/2) / rho) of the
+    float bounds taken as exact rationals, as Fraction gives them, in
+    integer arithmetic: (2 lower - rho) / (2 rho) and (2 upper + rho) / (2 rho)."""
+    a, qa = lower.as_integer_ratio()
+    z, qz = upper.as_integer_ratio()
+    r, qr = rho.as_integer_ratio()
+    return -((r * qa - 2 * a * qr) // (2 * r * qa)), (2 * z * qr + r * qz) // (2 * r * qz)
+
+
 def _index_range(lower: float, upper: float, rho: float) -> tuple[int, int]:
-    """The scalar lattice_range of one axis of one box."""
+    """The scalar lattice_range of one axis of one box.  It must contain the
+    exact range of the same bounds and be wider by at most one index per
+    side, the one boundary layer the guard may admit."""
     guard = lattice.BOUNDARY_GUARD
     qlo = (lower - rho / 2.0) / rho
     qhi = (upper + rho / 2.0) / rho
     qlo = qlo + (abs(qlo) + 1.0) * -guard
     qhi = qhi + (abs(qhi) + 1.0) * guard
-    return math.ceil(qlo), math.floor(qhi)
+    lo, hi = math.ceil(qlo), math.floor(qhi)
+    want_lo, want_hi = _exact_range(lower, upper, rho)
+    within = want_lo - 1 <= lo <= want_lo and want_hi <= hi <= want_hi + 1
+    assert within, (lower, upper, rho)
+    return lo, hi
 
 
 def _boxes(ranges):

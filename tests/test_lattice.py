@@ -381,13 +381,23 @@ def _sorted_unique_cases(d: int):
         yield "random shuffled", rng.permutation(pts)
 
 
-class TestIsSortedUnique:
+def _unit_runs_oracle(pts: np.ndarray) -> bool:
+    """Rows sorted and unique, and no two of one row one index apart."""
+    rows = list(map(tuple, pts.tolist()))
+    touch = any(p[:-1] == q[:-1] and q[-1] - p[-1] == 1 for p, q in zip(rows, rows[1:]))
+    return _sorted_unique_oracle(pts) and not touch
+
+
+class TestRunsAreMaximal:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_oracle(self, d):
+        """Every point a run of length one: the check orders the starts
+        column by column, as runs of any length."""
         seen = set()
         for name, pts in _sorted_unique_cases(d):
-            want = _sorted_unique_oracle(pts)
-            assert lattice._is_sorted_unique(pts) is want, name
+            want = _unit_runs_oracle(pts)
+            ones = np.ones(pts.shape[0], dtype=np.int64)
+            assert lattice._runs_are_maximal(pts, ones) is want, name
             seen.add(want)
         assert seen == {True, False}
 
