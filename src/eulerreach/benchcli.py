@@ -167,16 +167,14 @@ def _write_run(outdir: Path, name: str, record: RunRecord) -> None:
     disc = record.disc
     t, h, rho = disc.t, disc.h, disc.rho
     volumes = VolumeSplines.from_run(record)
-    _write_csv(
-        outdir / f"steps_{name}.csv",
-        ("j", "t_j", "h_j", "rho_j", "cardinality", "cost_j", "vhat_R", "vhat_F"),
-        (
-            [j, _fmt(t[j]), _fmt(h[j - 1]) if j >= 1 else "", _fmt(rho[j]),
-             s.cardinality, record.cost_exact[j] if j < disc.n else "",
-             _fmt(volumes.vR_values[j]), _fmt(volumes.vF_values[j])]
-            for j, s in enumerate(record.sets)
-        ),
-    )
+    header = ("j", "t_j", "h_j", "rho_j", "cardinality", "cost_j", "vhat_R", "vhat_F")
+    rows = [
+        [j, _fmt(t[j]), _fmt(h[j - 1]) if j >= 1 else "", _fmt(rho[j]),
+         s.cardinality, record.cost_exact[j] if j < disc.n else "",
+         _fmt(volumes.vR_values[j]), _fmt(volumes.vF_values[j])]
+        for j, s in enumerate(record.sets)
+    ]
+    _write_csv(outdir / f"steps_{name}.csv", header, rows)
     sigma_e, sigma_c = metric_sigma(record)
     _write_csv(
         outdir / f"sigma_{name}.csv",
@@ -184,11 +182,8 @@ def _write_run(outdir: Path, name: str, record: RunRecord) -> None:
         ([i, _fmt(t[i]), _fmt(e), _fmt(c)]
          for i, (e, c) in enumerate(zip(sigma_e, sigma_c))),
     )
-    _write_csv(
-        outdir / f"stepsizes_{name}.csv",
-        ("j", "t_j", "h_j", "rho_j"),
-        ([j, _fmt(t[j]), _fmt(h[j - 1]), _fmt(rho[j])] for j in range(1, disc.n + 1)),
-    )
+    # the step sizes are the steps table after node 0, cut to its first columns
+    _write_csv(outdir / f"stepsizes_{name}.csv", header[:4], (r[:4] for r in rows[1:]))
 
 
 def _write_trace(outdir: Path, trace: RefinementTrace) -> None:
@@ -196,9 +191,9 @@ def _write_trace(outdir: Path, trace: RefinementTrace) -> None:
         outdir / "iterations.csv",
         ("m", "k_m", "n_m", "delta_E", "delta_C", "ratio", "E"),
         (
-            [it.m, it.k, it.n_after, _fmt(it.delta_e), _fmt(it.delta_c),
+            [m, it.k, it.n_after, _fmt(it.delta_e), _fmt(it.delta_c),
              _fmt(-it.delta_e / it.delta_c), _fmt(it.error_after)]
-            for it in trace.iterations
+            for m, it in enumerate(trace.iterations, 1)
         ),
     )
     # each run after the first was planned with the volumes of the one before
@@ -207,11 +202,11 @@ def _write_trace(outdir: Path, trace: RefinementTrace) -> None:
         outdir / "thresholds.csv",
         ("ell", "eps", "n", "E", "cost_final", "cost_cumulative", "delta_C_metric"),
         (
-            [th.ell, "" if th.eps is None else _fmt(th.eps), th.record.disc.n,
+            [ell, "" if th.eps is None else _fmt(th.eps), th.record.disc.n,
              _fmt(th.record.error_bound), th.record.cost_total, th.cost_cumulative,
              "" if prev is None else _fmt(estimator_relative_error(
                  th.record, VolumeSplines.from_run(prev.record)))]
-            for prev, th in zip(planned, trace.thresholds)
+            for ell, (prev, th) in enumerate(zip(planned, trace.thresholds))
         ),
     )
 
@@ -244,6 +239,14 @@ def _remove_stale(outdir: Path, written: set[Path]) -> None:
 
 # ---------------------------------------------------------------------------
 # experiment driver
+
+
+def _default_ladder(system: SystemSpec, eps: float) -> list[float]:
+    """The ladder from the error bound of the system's initial
+    discretization down to eps."""
+    L, P = system.lipschitz, system.bound
+    e0 = error_total(refine.initial_discretization(system.horizon, L, P), L, P)
+    return default_ladder(e0, eps)
 
 
 def _check_file_path(path: Path) -> None:
@@ -297,11 +300,7 @@ def run_experiment(config: ExperimentConfig) -> int:
     if config.algorithm in ("adaptive", "compare"):
         ladder = config.ladder
         if ladder is None:
-            L, P = system.lipschitz, system.bound
-            e0 = error_total(
-                refine.initial_discretization(system.horizon, L, P), L, P
-            )
-            ladder = default_ladder(e0, config.eps)
+            ladder = _default_ladder(system, config.eps)
         _, adaptive, trace = algorithm_adaptive(system, ladder, cap=config.cap)
         _write_run(outdir, "adaptive", adaptive)
         _write_trace(outdir, trace)
@@ -310,9 +309,9 @@ def run_experiment(config: ExperimentConfig) -> int:
             f"adaptive n {adaptive.disc.n} E {_fmt(adaptive.error_bound)} "
             f"cost_final {adaptive.cost_total} cost_cumulative {cumulative}"
         )
-        for th in trace.thresholds:
+        for ell, th in enumerate(trace.thresholds):
             timing.append(
-                f"adaptive ell {th.ell} reach_s {th.record.wall_time:.6f} "
+                f"adaptive ell {ell} reach_s {th.record.wall_time:.6f} "
                 f"refine_s {th.time_refine:.6f}"
             )
         last = adaptive
@@ -388,9 +387,7 @@ def selftest(seed: int = 0) -> int:
     check("closed-form deltas match recomputation", ok)
 
     # short adaptive run keeps structural invariants and terminates
-    ladder = default_ladder(
-        error_total(initial_discretization(1.0, L, P), L, P), 4.0
-    )
+    ladder = _default_ladder(system, 4.0)
     disc, record, trace = algorithm_adaptive(system, ladder)
     errs = [it.error_after for it in trace.iterations]
     check("adaptive error strictly decreasing",
@@ -516,10 +513,11 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
             p.add_argument(f"--{name}")
 
 
-# the algorithm each experiment command runs; sweep runs compare per eps
+# the algorithm each experiment command runs, and whether it always writes
+# snapshots; sweep runs compare per eps
 COMMANDS = {
-    "run-uniform": "uniform", "run-adaptive": "adaptive",
-    "compare": "compare", "emit-figure-data": "compare",
+    "run-uniform": ("uniform", False), "run-adaptive": ("adaptive", False),
+    "compare": ("compare", False), "emit-figure-data": ("compare", True),
 }
 
 
@@ -574,9 +572,8 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args)
         if args.command == "sweep":
             return sweep(config, _parse("--eps-list", args.eps_list, _floats))
-        config.algorithm = COMMANDS[args.command]
-        if args.command == "emit-figure-data":
-            config.snapshots = True
+        config.algorithm, snapshots = COMMANDS[args.command]
+        config.snapshots |= snapshots
         return run_experiment(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .discretization import Discretization, error_total
 from .errors import InvariantViolation, ResourceCapError
-from .lattice import LatticeSet, lattice_range, union_of_boxes
+from .lattice import REACH, LatticeSet, lattice_range, union_of_boxes
 from .systems import Box, SystemSpec
 
 # default cap on the projected points of one step, which also bounds the
@@ -63,7 +63,10 @@ class RunRecord:
 
 
 def project_box(b: Box, rho: float, cap: int = DEFAULT_CAP) -> LatticeSet:
-    """Project a box onto the lattice rho * Z^d (never empty)."""
+    """Project a box onto the lattice rho * Z^d (never empty).  Raises
+    ResourceCapError for a box that reaches REACH * rho from 0."""
+    if not (b.lower.min() > -REACH * rho and b.upper.max() < REACH * rho):
+        raise _out_of_reach(b.lower, b.upper, rho, 0)
     work = np.empty((3, b.dim, 1))
     lo, hi = lattice_range(b.lower[:, None], b.upper[:, None], rho, work)
     return _project(lo.T, hi.T, rho, cap, 0, work[2])[0]
@@ -127,24 +130,37 @@ def _step(
     # the rhs sees the (N, d) points, columns contiguous; its arrays are its
     # own and may alias each other or x, so they are only read
     f_lo, f_hi = system.rhs_batch(x.T)
-    # ordered rows hold no NaN, and lie between the smallest lower and the
-    # largest upper bound, so these bounds make every value finite
-    if not ((f_lo <= f_hi).all() and f_lo.min() > -np.inf and f_hi.max() < np.inf):
-        ok = np.isfinite(f_lo) & np.isfinite(f_hi) & (f_lo <= f_hi)
-        bad = int(np.count_nonzero(~ok.all(axis=1)))
-        raise InvariantViolation(
-            f"step {step}: right-hand side returned {bad} non-finite or "
-            "inverted image boxes"
-        )
+    ordered = (f_lo <= f_hi).all()
     # the image boxes x + h * F(x), as (F(x) * h) + x: the same bits
     images, lower, upper = w[1:], w[1], w[2]
     np.multiply(f_lo.T, h, out=lower)
     np.multiply(f_hi.T, h, out=upper)
     images += x
+    # ordered rows of F hold no NaN, so neither do the images, which lie
+    # between the smallest lower and the largest upper bound: these bounds
+    # make every value finite, and every index lattice_range casts to int64
+    # lie inside +-INDEX_LIMIT (see REACH)
+    reach = REACH * rho_next
+    if not (ordered and lower.min() > -reach and upper.max() < reach):
+        ok = np.isfinite(f_lo) & np.isfinite(f_hi) & (f_lo <= f_hi)
+        bad = int(np.count_nonzero(~ok.all(axis=1)))
+        if bad:
+            raise InvariantViolation(
+                f"step {step}: right-hand side returned {bad} non-finite or "
+                "inverted image boxes"
+            )
+        raise _out_of_reach(lower, upper, rho_next, step)
     # free the rhs's arrays before the union allocates its own
     del x, f_lo, f_hi
     lo_idx, hi_idx = lattice_range(lower, upper, rho_next, w)
     return _project(lo_idx.T, hi_idx.T, rho_next, cap, step, w[2])
+
+
+def _out_of_reach(lower, upper, rho: float, step: int) -> ResourceCapError:
+    """The error for boxes that reach REACH * rho from 0, past the index
+    range of the lattice."""
+    far = max(-float(lower.min()), float(upper.max())) / rho
+    return ResourceCapError(step, far, REACH, "cells from 0")
 
 
 def _project(

@@ -35,6 +35,18 @@ BOUNDARY_GUARD = 1e-12
 # counters); larger grids are split
 RASTER_BUDGET = 1 << 22
 
+# largest grid hausdorff_to_box_two_sided builds, in cells (50 MB of bools)
+HAUSDORFF_CELLS = 50_000_000
+
+# indices the projection produces, and the union accepts, lie in
+# [-INDEX_LIMIT, INDEX_LIMIT], so the union's offsets and a projected box's
+# size stay inside int64.  A bound within REACH * rho of 0, REACH being
+# 2**24 below the limit, projects strictly inside that range: the half
+# cell, the boundary guard and rounding move its quotient by less than
+# 2**23 there.
+INDEX_LIMIT = 2**62
+REACH = 2.0**62 - 2.0**24
+
 
 def lattice_range(
     lower: np.ndarray, upper: np.ndarray, rho: float, work: np.ndarray | None = None
@@ -47,11 +59,15 @@ def lattice_range(
     of shape (3, *lower.shape), allocated when not given: the quotients in
     work[1:] (lower and upper may be work[1] and work[2] themselves), each
     side's guard term in the slot below its quotient, which then receives
-    the side's index, lo in work[0] and hi in work[1], as int64.
+    the side's index, lo in work[0] and hi in work[1], as int64.  Without
+    ``work``, a quotient of magnitude REACH or more, or NaN, raises
+    ValueError before any cast; a caller that gives ``work`` checks its
+    bounds itself.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    if work is None:
+    checked = work is None
+    if checked:
         work = np.empty((3, *np.shape(lower)))
     # q -/+ BOUNDARY_GUARD * (|q| + 1) with q = (bound -/+ rho/2) / rho,
     # one side at a time; each side's index is rounded into another slot,
@@ -60,6 +76,8 @@ def lattice_range(
     np.add(lower, -rho / 2.0, out=q_lo)
     np.add(upper, rho / 2.0, out=q_hi)
     q /= rho
+    if checked and not np.abs(q).max(initial=0.0) < REACH:
+        raise ValueError(f"index quotients must lie inside +-{REACH:.3e}")
     idx = work.view(np.int64)
     lo, hi = idx[0], idx[1]
     g = np.abs(q_lo, out=work[0])
@@ -90,8 +108,10 @@ def union_of_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     spare cell ends every row uncovered, so a run never crosses a row and
     only the run starts are decoded.  A grid over RASTER_BUDGET cells is
     split at the midpoint of its first axis spanning more than one index;
-    the axes before it are constant, so the halves concatenate in order, and
-    where the cut is on the last axis the two runs that touch it merge.
+    the axes before it are constant, so the halves concatenate in order,
+    and ``_merge_touching`` joins the two runs that meet at a cut of the
+    last axis.  Indices outside [-INDEX_LIMIT, INDEX_LIMIT] raise
+    ValueError.
     """
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
@@ -101,7 +121,10 @@ def union_of_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # column by column: reducing a column is far cheaper than reducing
     # axis 0 of an (N, d) array, and needs no transposed copy
     base = [int(lo[:, a].min()) for a in range(d)]
-    spans = [int(hi[:, a].max()) - b + 1 for a, b in enumerate(base)]
+    top = [int(hi[:, a].max()) for a in range(d)]
+    if not (-INDEX_LIMIT <= min(base) and max(top) <= INDEX_LIMIT):
+        raise ValueError(f"index boxes must lie inside +-{INDEX_LIMIT:.3e}")
+    spans = [t - b + 1 for b, t in zip(base, top)]
     shape = [s + 1 for s in spans]
     size = math.prod(shape)
     wide = [a for a, s in enumerate(spans) if s > 1]
@@ -117,10 +140,7 @@ def union_of_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
         # both halves hold a box, so neither union is empty
         s1, n1 = union_of_boxes(lo[left], hi_left)
         s2, n2 = union_of_boxes(lo_right, hi[right])
-        if a == d - 1 and s1[-1, -1] + n1[-1] == mid == s2[0, -1]:
-            n1[-1] += n2[0]
-            s2, n2 = s2[1:], n2[1:]
-        return np.concatenate([s1, s2]), np.concatenate([n1, n2])
+        return _merge_touching(np.concatenate([s1, s2]), np.concatenate([n1, n2]))
 
     # flat offsets of the faces at lo and at hi + 1, per axis, from the
     # last axis, whose stride is 1; a corner picks one face per axis and
@@ -189,7 +209,8 @@ class LatticeSet:
             pts = np.asarray(points, dtype=np.int64)
             if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] < 1:
                 raise ValueError("points must be a nonempty (N, d) array, d >= 1")
-            runs = _encode_runs(np.unique(pts, axis=0))
+            pts = np.unique(pts, axis=0)
+            runs = _merge_touching(pts, np.ones(pts.shape[0], dtype=np.int64))
         starts = np.asarray(runs[0], dtype=np.int64)
         lengths = np.asarray(runs[1], dtype=np.int64)
         if starts.ndim != 2 or starts.shape[0] < 1 or starts.shape[1] < 1:
@@ -279,19 +300,22 @@ class LatticeSet:
         ]))
 
 
-def _encode_runs(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal runs along the last axis of sorted, unique (N, d) rows."""
-    n = pts.shape[0]
-    # a run starts at the first row, and wherever the last index does not
-    # go up by one or an earlier index changes.  Modulo 2**64 the step is 1
-    # only where it truly is, or from the largest int64 to the smallest,
-    # which sorted rows take only where an earlier index changes.
-    new = np.ones(n, dtype=bool)
-    np.not_equal(pts[1:, -1] - pts[:-1, -1], 1, out=new[1:])
-    for c in range(pts.shape[1] - 1):
-        new[1:] |= pts[1:, c] != pts[:-1, c]
+def _merge_touching(starts: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Maximal runs from R >= 1 sorted, disjoint runs along the last axis,
+    (R, d) starts and (R,) lengths: a run that touches the one before it
+    in its row joins it."""
+    # a run joins the one before it where no earlier index changes and it
+    # starts at the index past that one's end, start + length.  Modulo
+    # 2**64 that sum equals the next start only where it truly does, or
+    # where a run ends at the largest int64 and the next starts at the
+    # smallest, which sorted, disjoint runs do only where an earlier index
+    # changes.
+    new = np.ones(lengths.size, dtype=bool)
+    np.not_equal(starts[1:, -1], starts[:-1, -1] + lengths[:-1], out=new[1:])
+    for c in range(starts.shape[1] - 1):
+        new[1:] |= starts[1:, c] != starts[:-1, c]
     first = np.flatnonzero(new)
-    return pts[first], np.diff(first, append=n)
+    return starts[first], np.add.reduceat(lengths, first)
 
 
 def _runs_are_maximal(starts: np.ndarray, lengths: np.ndarray) -> bool:
@@ -334,7 +358,7 @@ def hausdorff_to_box(A: LatticeSet, b: Box) -> float:
     return float(excess.max())
 
 
-def hausdorff_to_box_two_sided(A: LatticeSet, b: Box, max_cells: int = 50_000_000) -> float:
+def hausdorff_to_box_two_sided(A: LatticeSet, b: Box) -> float:
     """Upper bound on the symmetric Hausdorff distance dist_H(A, b).
 
     The direction A -> b is exact (closed form per point).  For b -> A,
@@ -342,7 +366,8 @@ def hausdorff_to_box_two_sided(A: LatticeSet, b: Box, max_cells: int = 50_000_00
     lies in the lattice cover of b; the lattice-to-set distances are
     integer Chebyshev distances, computed exactly with a chessboard
     distance transform.  The result over-estimates the true distance by
-    at most rho/2.
+    at most rho/2.  Raises MemoryError when that transform would need a
+    grid of more than HAUSDORFF_CELLS cells.
     """
     from scipy.ndimage import distance_transform_cdt
 
@@ -356,12 +381,10 @@ def hausdorff_to_box_two_sided(A: LatticeSet, b: Box, max_cells: int = 50_000_00
     lo = np.minimum(cov_lo, pts.min(axis=0))
     hi = np.maximum(cov_hi, pts.max(axis=0))
     shape = tuple(int(v) for v in hi - lo + 1)
-    cells = 1
-    for s in shape:
-        cells *= s
-    if cells > max_cells:
+    cells = math.prod(shape)
+    if cells > HAUSDORFF_CELLS:
         raise MemoryError(
-            f"two-sided Hausdorff grid would need {cells} cells (> {max_cells})"
+            f"two-sided Hausdorff grid would need {cells} cells (> {HAUSDORFF_CELLS})"
         )
     occupied = np.zeros(shape, dtype=bool)
     occupied[tuple((pts - lo).T)] = True

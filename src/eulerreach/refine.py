@@ -71,16 +71,13 @@ class VolumeSplines:
     vF_values: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        vr = np.asarray(self.vR_values, dtype=float)
-        vf = np.asarray(self.vF_values, dtype=float)
+        for name in ("nodes", "vR_values", "vF_values"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        nodes, vr, vf = self.nodes, self.vR_values, self.vF_values
         if nodes.ndim != 1 or nodes.shape != vr.shape or nodes.shape != vf.shape:
             raise ValueError("nodes and values must be 1-d arrays of equal length")
         if np.any(vr <= 0) or np.any(vf <= 0):
             raise ValueError("surrogate volumes must be strictly positive")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "vR_values", vr)
-        object.__setattr__(self, "vF_values", vf)
 
     @classmethod
     def from_run(cls, record: RunRecord) -> "VolumeSplines":
@@ -141,8 +138,9 @@ def delta_cost_all(
     # terms that two branches share: V(t_j), rho_j^d_R, (h_j / rho_{j+1})^d_F
     v, rho_R, h_F = V(t), rho**d_R, (h / r) ** d_F
     out = np.empty(disc.n + 1)
-    # scalar **, which can differ from numpy's array ** in the last bit
-    out[0] = V(0.0) * (4**d_R - 1) / rho[0] ** d_R * (h[0] / rho[1]) ** d_F
+    # scalar **, which can differ from numpy's array ** in the last bit;
+    # v[0] is V(0.0), since t[0] == 0.0
+    out[0] = v[0] * (4**d_R - 1) / rho[0] ** d_R * (h[0] / rho[1]) ** d_F
     mid = V(t[1:] - h / 2.0) * (2.0 * h / r) ** d_F * (4.0 / r) ** d_R
     out[1:] = mid + v[:-1] * (2**d_F - 1) / rho_R[:-1] * h_F
     # k = n has no next interval
@@ -205,7 +203,8 @@ def algorithm_uniform(
 
 @dataclass(frozen=True)
 class IterationRecord:
-    m: int
+    """Greedy iteration m, entry m - 1 of RefinementTrace.iterations."""
+
     k: int
     n_after: int
     delta_e: float
@@ -215,7 +214,8 @@ class IterationRecord:
 
 @dataclass(frozen=True, eq=False)
 class ThresholdRecord:
-    ell: int
+    """Threshold ell, entry ell of RefinementTrace.thresholds."""
+
     eps: float | None  # None for the unconditional first run
     record: RunRecord
     cost_cumulative: int
@@ -267,7 +267,7 @@ def algorithm_adaptive(
     cumulative = 0
 
     # the first run has no threshold to meet
-    for ell, eps in enumerate([None, *ladder]):
+    for eps in [None, *ladder]:
         t0 = time.perf_counter()
         if eps is not None and err > eps:
             # the coupling is checked once per threshold: subdivide keeps it
@@ -287,15 +287,14 @@ def algorithm_adaptive(
                     )
                 err = new_err
                 trace.iterations.append(IterationRecord(
-                    m=len(trace.iterations) + 1, k=k, n_after=disc.n,
-                    delta_e=delta_e, delta_c=delta_c, error_after=err,
+                    k=k, n_after=disc.n, delta_e=delta_e, delta_c=delta_c,
+                    error_after=err,
                 ))
         t1 = time.perf_counter()
         record = euler_run(system, disc, cap=cap)
         cumulative += record.cost_total
         trace.thresholds.append(ThresholdRecord(
-            ell=ell, eps=eps, record=record, cost_cumulative=cumulative,
-            time_refine=t1 - t0,
+            eps=eps, record=record, cost_cumulative=cumulative, time_refine=t1 - t0,
         ))
         splines = VolumeSplines.from_run(record)
 

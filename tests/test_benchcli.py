@@ -595,6 +595,17 @@ class TestMainExitCodes:
         )
         assert code == EXIT_RESOURCE
 
+    def test_images_outside_the_index_range_exit_3(self, tmp_path, monkeypatch, capsys):
+        def far_system(config):
+            return dataclasses.replace(
+                build_system(config),
+                rhs_batch=lambda x: (np.full_like(x, 1e25), np.full_like(x, 1e25)),
+            )
+
+        monkeypatch.setattr(benchcli, "build_system", far_system)
+        assert main(["run-uniform", "--out", str(tmp_path / "far")]) == EXIT_RESOURCE
+        assert "step 1: " in capsys.readouterr().err
+
     def test_invariant_violation(self, tmp_path, monkeypatch):
         def boom(config):
             raise InvariantViolation("forced")

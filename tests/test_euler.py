@@ -172,6 +172,18 @@ def test_bad_rhs_box_rejected(corrupt):
         euler_run(system, uniform_discretization(1.0, 4))
 
 
+def test_images_outside_the_index_range_are_a_resource_cap():
+    """Finite, ordered F whose image boxes reach past the int64 indices of
+    the next lattice: a resource cap at that step, not an overflow."""
+    system = dataclasses.replace(
+        make_exponential_system(1, 1.0),
+        rhs_batch=lambda x: (np.full_like(x, 1e25), np.full_like(x, 1e25)),
+    )
+    with pytest.raises(ResourceCapError, match="step 1: ") as exc:
+        euler_run(system, uniform_discretization(1.0, 4))
+    assert exc.value.step == 1
+
+
 @pytest.mark.parametrize("d, n", [(1, 12), (3, 6)])
 def test_workspace_reuse_matches_fresh_buffers(d, n):
     """Large, small, large sets through one workspace: the same sets and

@@ -56,6 +56,12 @@ class TestLatticeRange:
         with pytest.raises(ValueError):
             lattice_range(np.zeros(1), np.ones(1), 0.0)
 
+    @pytest.mark.parametrize("lower,upper", [(-1e30, 1e30), (math.nan, 0.0)])
+    def test_quotients_outside_the_index_range_rejected(self, lower, upper):
+        # cast to int64, -1e30 and 1e30 would both become the smallest int64
+        with pytest.raises(ValueError, match="index quotients"):
+            lattice_range(np.array([lower]), np.array([upper]), 1.0)
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_matches_reference_formula(self, d):
         """Bit for bit against the plain one-expression-per-bound formula."""
@@ -218,6 +224,16 @@ class TestUnionOfBoxes:
         # every axis but the last spans one index, so the split cuts the last
         monkeypatch.setattr(lattice, "RASTER_BUDGET", 8)
         assert _runs_of(*union_of_boxes(lo, hi)) == want
+
+    @pytest.mark.parametrize("index", [-(2**63), -(2**62) - 1, 2**62 + 1])
+    def test_indices_past_the_limit_rejected(self, index):
+        with pytest.raises(ValueError, match="index boxes"):
+            union_of_boxes(np.array([[0, index]]), np.array([[0, index]]))
+
+    def test_indices_at_the_limit_accepted(self):
+        limit = lattice.INDEX_LIMIT
+        lo, hi = np.array([[0, -limit], [0, limit - 1]]), np.array([[0, -limit], [0, limit]])
+        assert _runs_of(*union_of_boxes(lo, hi)) == [((0, -limit), 1), ((0, limit - 1), 2)]
 
     def test_a_100_by_100_box_is_100_runs(self):
         starts, lengths = union_of_boxes(np.array([[0, 0]]), np.array([[99, 99]]))
@@ -402,6 +418,57 @@ class TestRunsAreMaximal:
         assert seen == {True, False}
 
 
+def _random_runs(rng, d: int) -> list:
+    """Sorted, disjoint (start, length) runs along the last axis, in a few
+    rows, as Python ints.  Inside a row runs touch or leave gaps; a row
+    starts where the one before it ended, modulo 2**64, and may end at the
+    largest int64, and the first starts at the smallest."""
+    info = np.iinfo(np.int64)
+    ends = [int(info.min), -1, 0, 1, int(info.max)]
+    heads = sorted({tuple(int(v) for v in rng.choice(ends, size=d - 1)) for _ in range(4)})
+    runs, start = [], int(info.min)
+    for head in heads:
+        groups = [start]
+        if rng.random() < 0.5:
+            groups.append(None)  # a group that ends at the largest int64
+        for at in groups:
+            offsets, p = [], 0
+            for k in range(int(rng.integers(1, 6))):
+                p += int(rng.choice([0, 0, 1, 3])) if k else 0
+                n = int(rng.integers(1, 4))
+                offsets.append((p, n))
+                p += n
+            shift = int(info.max) - p + 1 if at is None else at
+            runs += [((*head, s + shift), n) for s, n in offsets]
+        end = runs[-1][0][-1] + runs[-1][1]
+        start = int(info.min) if end > info.max else end
+    return runs
+
+
+class TestMergeTouching:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_oracle(self, d):
+        """Runs that touch inside a row merge; runs whose last indices line
+        up across a row change, also from the largest int64 to the
+        smallest, stay apart."""
+        rng = np.random.default_rng(300 + d)
+        merged = crossed = 0
+        for _ in range(200):
+            runs = _random_runs(rng, d)
+            starts = np.array([s for s, _ in runs], dtype=np.int64)
+            lengths = np.array([n for _, n in runs], dtype=np.int64)
+            points = [(*s[:-1], s[-1] + i) for s, n in runs for i in range(n)]
+            got = lattice._merge_touching(starts, lengths)
+            assert _runs_of(*got) == _runs_oracle(points)
+            assert lattice._runs_are_maximal(*got)
+            merged += len(runs) - len(got[1])
+            crossed += sum(
+                a[:-1] != b[:-1] and a[-1] + n in (b[-1], b[-1] + 2**64)
+                for (a, n), (b, _) in zip(runs, runs[1:])
+            )
+        assert merged > 0 and (d == 1 or crossed > 0)
+
+
 class TestRuns:
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_points_runs_points_round_trip(self, d):
@@ -455,6 +522,10 @@ class TestProjectBox:
         with pytest.raises(ResourceCapError):
             project_box(Box(np.zeros(2), np.full(2, 100.0)), 0.01, cap=1000)
 
+    def test_box_outside_the_index_range_is_a_resource_cap(self):
+        with pytest.raises(ResourceCapError, match="step 0: "):
+            project_box(Box.point([1e30]), 1e-3)
+
 
 class TestHausdorff:
     def test_to_box_excess(self):
@@ -488,7 +559,7 @@ class TestHausdorff:
     def test_two_sided_memory_guard(self):
         A = LatticeSet(1e-6, np.array([[0, 0]], dtype=np.int64))
         with pytest.raises(MemoryError):
-            hausdorff_to_box_two_sided(A, Box([0.0, 0.0], [1.0, 1.0]), max_cells=100)
+            hausdorff_to_box_two_sided(A, Box([0.0, 0.0], [1.0, 1.0]))
 
     def test_dimension_mismatch(self):
         A = LatticeSet(1.0, np.array([[0, 0]], dtype=np.int64))

@@ -378,8 +378,8 @@ def _array_holders():
         "SystemSpec": lambda: dataclasses.replace(system),
         "VolumeSplines": _flat_splines,
         "RunRecord": lambda: dataclasses.replace(record),
-        "ThresholdRecord": lambda: ThresholdRecord(0, None, record, 5, 0.0),
-        "RefinementTrace": lambda: RefinementTrace([], [ThresholdRecord(0, None, record, 5, 0.0)]),
+        "ThresholdRecord": lambda: ThresholdRecord(None, record, 5, 0.0),
+        "RefinementTrace": lambda: RefinementTrace([], [ThresholdRecord(None, record, 5, 0.0)]),
     }
 
 
