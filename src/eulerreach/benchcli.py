@@ -270,7 +270,9 @@ def _check_artifact_paths(config: ExperimentConfig) -> None:
 
 
 def run_experiment(config: ExperimentConfig) -> int:
-    """Run the configured experiment and write its artifacts; returns 0."""
+    """Run the configured experiment and write its artifacts; returns 0.
+    Every solve runs before anything is written, so a run that fails
+    leaves its output directory as it found it, apart from creating it."""
     config.validate()
     system = build_system(config)
     _check_artifact_paths(config)
@@ -279,6 +281,15 @@ def run_experiment(config: ExperimentConfig) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory: {exc}") from exc
+    uniform = adaptive = None
+    if config.algorithm in ("uniform", "compare"):
+        _, uniform = algorithm_uniform(system, config.eps, cap=config.cap)
+    if config.algorithm in ("adaptive", "compare"):
+        ladder = config.ladder
+        if ladder is None:
+            ladder = _default_ladder(system, config.eps)
+        _, adaptive, trace = algorithm_adaptive(system, ladder, cap=config.cap)
+
     chash = config.hash()
     (outdir / "config.txt").write_text(
         "".join(f"{k} = {v}\n" for k, v in sorted(asdict(config).items()))
@@ -286,22 +297,14 @@ def run_experiment(config: ExperimentConfig) -> int:
     )
     summary = [f"config_hash {chash}"]
     timing = []  # wall-clock data is kept out of the deterministic artifacts
-
-    if config.algorithm in ("uniform", "compare"):
-        _, uniform = algorithm_uniform(system, config.eps, cap=config.cap)
+    if uniform is not None:
         _write_run(outdir, "uniform", uniform)
         summary.append(
             f"uniform n {uniform.disc.n} E {_fmt(uniform.error_bound)} "
             f"cost {uniform.cost_total}"
         )
         timing.append(f"uniform reach_s {uniform.wall_time:.6f}")
-        last = uniform
-
-    if config.algorithm in ("adaptive", "compare"):
-        ladder = config.ladder
-        if ladder is None:
-            ladder = _default_ladder(system, config.eps)
-        _, adaptive, trace = algorithm_adaptive(system, ladder, cap=config.cap)
+    if adaptive is not None:
         _write_run(outdir, "adaptive", adaptive)
         _write_trace(outdir, trace)
         cumulative = trace.thresholds[-1].cost_cumulative
@@ -314,11 +317,10 @@ def run_experiment(config: ExperimentConfig) -> int:
                 f"adaptive ell {ell} reach_s {th.record.wall_time:.6f} "
                 f"refine_s {th.time_refine:.6f}"
             )
-        last = adaptive
 
     written = {outdir / name for name in ARTIFACTS[config.algorithm]}
     if config.snapshots:  # of the last run: adaptive when both ran
-        written.update(_write_snapshots(outdir / "snapshots", last))
+        written.update(_write_snapshots(outdir / "snapshots", adaptive or uniform))
     if config.algorithm == "compare":
         _write_csv(outdir / "comparison.csv", COMPARISON_HEADER, [[
             chash, config.system, config.d, _fmt(config.L), _fmt(config.eps),

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceCapError
-from .systems import CONSTANT_FLOOR
+from .systems import CONSTANT_FLOOR, hold
 
 
 @dataclass(frozen=True, eq=False)
@@ -36,10 +36,7 @@ class Discretization:
     rho: np.ndarray
 
     def __post_init__(self):
-        for name in ("h", "t", "rho"):
-            a = np.array(getattr(self, name), dtype=np.float64)
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+        hold(self, h=self.h, t=self.t, rho=self.rho)
         h, t, rho, n = self.h, self.t, self.rho, self.h.size
         if h.ndim != 1 or n < 1:
             raise ValueError("need at least one time interval")
@@ -80,7 +77,7 @@ def initial_discretization(T: float, L: float, P: float) -> Discretization:
 
     Raises ResourceCapError when rho_0 or its error bound overflows a float.
     """
-    if T <= 0:
+    if not T > 0:  # also rejects nan
         raise ValueError("T must be positive")
     L = max(L, CONSTANT_FLOOR)
     P = max(P, CONSTANT_FLOOR)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantViolation
-from .systems import Box
+from .systems import Box, hold
 
 # relative inflation applied to index quotients at range boundaries
 BOUNDARY_GUARD = 1e-12
@@ -60,14 +60,16 @@ def lattice_range(
     work[1:] (lower and upper may be work[1] and work[2] themselves), each
     side's guard term in the slot below its quotient, which then receives
     the side's index, lo in work[0] and hi in work[1], as int64.  Without
-    ``work``, a quotient of magnitude REACH or more, or NaN, raises
-    ValueError before any cast; a caller that gives ``work`` checks its
-    bounds itself.
+    ``work``, a bound of magnitude REACH * rho or more, or NaN, raises
+    ValueError before it is divided; a caller that gives ``work`` checks
+    its bounds itself.
     """
-    if rho <= 0:
+    if not rho > 0:  # also rejects nan
         raise ValueError("rho must be positive")
-    checked = work is None
-    if checked:
+    if work is None:
+        # the bounds, not their quotients, so that nothing overflows first
+        if not (np.abs([lower, upper]) < REACH * rho).all():
+            raise ValueError(f"index quotients must lie inside +-{REACH:.3e}")
         work = np.empty((3, *np.shape(lower)))
     # q -/+ BOUNDARY_GUARD * (|q| + 1) with q = (bound -/+ rho/2) / rho,
     # one side at a time; each side's index is rounded into another slot,
@@ -76,8 +78,6 @@ def lattice_range(
     np.add(lower, -rho / 2.0, out=q_lo)
     np.add(upper, rho / 2.0, out=q_hi)
     q /= rho
-    if checked and not np.abs(q).max(initial=0.0) < REACH:
-        raise ValueError(f"index quotients must lie inside +-{REACH:.3e}")
     idx = work.view(np.int64)
     lo, hi = idx[0], idx[1]
     g = np.abs(q_lo, out=work[0])
@@ -194,7 +194,8 @@ class LatticeSet:
     int64, no two runs of one row touching.  Built either from points,
     ``LatticeSet(rho, points)``, which are sorted, deduplicated and encoded
     as runs, or from such runs, ``LatticeSet(rho, runs=(starts,
-    lengths))``; either way the runs are checked and kept as given.
+    lengths))``; either way the runs are checked and held as read-only
+    copies.
     """
 
     resolution: float
@@ -211,22 +212,19 @@ class LatticeSet:
                 raise ValueError("points must be a nonempty (N, d) array, d >= 1")
             pts = np.unique(pts, axis=0)
             runs = _merge_touching(pts, np.ones(pts.shape[0], dtype=np.int64))
-        starts = np.asarray(runs[0], dtype=np.int64)
-        lengths = np.asarray(runs[1], dtype=np.int64)
+        # the copies keep the order of the given starts; the union's are
+        # column-major, which the run check and expansion read by column
+        hold(self, np.int64, starts=runs[0], lengths=runs[1])
+        starts, lengths = self.starts, self.lengths
         if starts.ndim != 2 or starts.shape[0] < 1 or starts.shape[1] < 1:
             raise ValueError("run starts must be a nonempty (R, d) array, d >= 1")
         if lengths.shape != starts.shape[:1] or not _runs_are_maximal(starts, lengths):
             raise ValueError("runs must be sorted, nonempty and apart")
-        if resolution <= 0:
+        if not resolution > 0:  # also rejects nan
             raise ValueError("resolution must be positive")
-        starts.setflags(write=False)
-        lengths.setflags(write=False)
-        init = object.__setattr__  # the dataclass is frozen
-        # a Python float, as the text header prints it
-        init(self, "resolution", float(resolution))
-        init(self, "starts", starts)
-        init(self, "lengths", lengths)
-        init(self, "cardinality", int(lengths.sum()))
+        # the dataclass is frozen; a Python float, as the text header prints it
+        object.__setattr__(self, "resolution", float(resolution))
+        object.__setattr__(self, "cardinality", int(lengths.sum()))
 
     @property
     def dim(self) -> int:

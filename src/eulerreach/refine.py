@@ -27,7 +27,7 @@ from .discretization import (
 )
 from .errors import CouplingError, InvariantViolation, ResourceCapError
 from .euler import DEFAULT_CAP, RunRecord, euler_run
-from .systems import SystemSpec
+from .systems import SystemSpec, hold
 
 # ---------------------------------------------------------------------------
 # error bound
@@ -71,12 +71,11 @@ class VolumeSplines:
     vF_values: np.ndarray
 
     def __post_init__(self):
-        for name in ("nodes", "vR_values", "vF_values"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        hold(self, nodes=self.nodes, vR_values=self.vR_values, vF_values=self.vF_values)
         nodes, vr, vf = self.nodes, self.vR_values, self.vF_values
         if nodes.ndim != 1 or nodes.shape != vr.shape or nodes.shape != vf.shape:
             raise ValueError("nodes and values must be 1-d arrays of equal length")
-        if np.any(vr <= 0) or np.any(vf <= 0):
+        if not ((vr > 0).all() and (vf > 0).all()):  # also rejects nan
             raise ValueError("surrogate volumes must be strictly positive")
 
     @classmethod

@@ -20,6 +20,18 @@ import numpy as np
 CONSTANT_FLOOR = 1e-12
 
 
+def hold(record, dtype=float, **arrays) -> None:
+    """Set each named field of the frozen dataclass ``record`` to a
+    read-only copy of the given values, of type dtype.  Every record that
+    holds arrays takes them through here, so it owns its copies: the
+    caller's arrays stay writable, and later writes to them do not reach
+    the record."""
+    for name, values in arrays.items():
+        held = np.array(values, dtype=dtype)
+        held.setflags(write=False)
+        object.__setattr__(record, name, held)
+
+
 @dataclass(frozen=True, eq=False)
 class Box:
     """Nonempty axis-aligned box [lower, upper] in R^d (point boxes allowed)."""
@@ -28,16 +40,12 @@ class Box:
     upper: np.ndarray
 
     def __post_init__(self):
-        lo = np.atleast_1d(np.asarray(self.lower, dtype=float))
-        hi = np.atleast_1d(np.asarray(self.upper, dtype=float))
+        hold(self, lower=np.atleast_1d(self.lower), upper=np.atleast_1d(self.upper))
+        lo, hi = self.lower, self.upper
         if lo.ndim != 1 or lo.shape != hi.shape or lo.size < 1:
             raise ValueError("box bounds must be 1-d arrays of equal length >= 1")
-        if np.any(lo > hi):
-            raise ValueError("box has lower[i] > upper[i]")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        if not (lo <= hi).all():  # also rejects nan
+            raise ValueError("box needs lower[i] <= upper[i]")
 
     @property
     def dim(self) -> int:
@@ -45,8 +53,7 @@ class Box:
 
     @classmethod
     def point(cls, x) -> "Box":
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return cls(x, x.copy())
+        return cls(x, x)
 
 
 # Batch right-hand side: maps an (N, d) array of states to a pair of

@@ -25,7 +25,7 @@ from eulerreach.benchcli import (
     run_experiment,
 )
 from eulerreach.discretization import uniform_discretization
-from eulerreach.errors import ConfigError, InvariantViolation
+from eulerreach.errors import ConfigError, InvariantViolation, ResourceCapError
 from eulerreach.euler import euler_run
 from eulerreach.refine import algorithm_adaptive
 from eulerreach.systems import make_exponential_system
@@ -666,6 +666,34 @@ class TestRerunIntoOneDirectory:
         assert (out / "comparison.csv").is_dir()
         (out / "comparison.csv").rmdir()
         _assert_writes_its_artifacts(out, "adaptive")
+
+    def test_failed_rerun_changes_no_file(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run-adaptive", "--eps", "0.0625", "--out", str(out)]) == EXIT_OK
+        before = _file_bytes(out)
+        # a config of its own, which exits 3 at step 16
+        assert main(
+            ["run-adaptive", "--eps", "0.0625", "--d", "3", "--cap", "1000",
+             "--out", str(out)]
+        ) == EXIT_RESOURCE
+        assert _file_bytes(out) == before
+
+    def test_failed_adaptive_half_of_compare_changes_no_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "c"
+        assert main(["compare", "--eps", "2", "--out", str(out)]) == EXIT_OK
+        before = _file_bytes(out)
+
+        def capped(*args, **kwargs):
+            raise ResourceCapError(1, 2e3, 1e3)
+
+        # the uniform half at eps 1 succeeds and differs from the one at 2
+        monkeypatch.setattr(benchcli, "algorithm_adaptive", capped)
+        assert main(["compare", "--eps", "1", "--out", str(out)]) == EXIT_RESOURCE
+        assert _file_bytes(out) == before
+
+
+def _file_bytes(out: Path) -> dict[Path, bytes]:
+    return {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
 
 
 class TestSelftest:

@@ -70,6 +70,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             uniform_discretization(1.0, 0)
 
+    def test_initial_rejects_nan_horizon(self):
+        with pytest.raises(ValueError, match="T must be positive"):
+            initial_discretization(math.nan, 1.0, 1.0)
+
     @pytest.mark.parametrize(
         "h,t,rho",
         [

@@ -56,6 +56,15 @@ class TestLatticeRange:
         with pytest.raises(ValueError):
             lattice_range(np.zeros(1), np.ones(1), 0.0)
 
+    def test_nan_rho_rejected(self):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            lattice_range(np.zeros(1), np.ones(1), math.nan)
+
+    def test_overflowing_quotients_rejected_without_a_warning(self):
+        # 1e308 / 1e-10 overflows; the suite turns any warning into an error
+        with pytest.raises(ValueError, match="index quotients"):
+            lattice_range(np.array([1e308]), np.array([1e308]), 1e-10)
+
     @pytest.mark.parametrize("lower,upper", [(-1e30, 1e30), (math.nan, 0.0)])
     def test_quotients_outside_the_index_range_rejected(self, lower, upper):
         # cast to int64, -1e30 and 1e30 would both become the smallest int64
@@ -331,6 +340,10 @@ class TestLatticeSet:
             LatticeSet(0.5, np.empty((2, 0), dtype=np.int64))
         with pytest.raises(ValueError):
             LatticeSet(-1.0, np.zeros((1, 2), dtype=np.int64))
+
+    def test_nan_resolution_rejected(self):
+        with pytest.raises(ValueError, match="resolution"):
+            LatticeSet(math.nan, [[0, 1]])
 
     @pytest.mark.parametrize(
         "starts,lengths",

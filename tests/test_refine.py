@@ -112,6 +112,13 @@ class TestVolumeSplines:
         with pytest.raises(ValueError):
             VolumeSplines(np.array([0.0, 1.0]), np.array([1.0, 0.0]), np.ones(2))
 
+    @pytest.mark.parametrize("field", ["vR_values", "vF_values"])
+    def test_rejects_nan_values(self, field):
+        values = {"vR_values": [1.0, 1.0], "vF_values": [1.0, 1.0]}
+        values[field] = [math.nan, 1.0]
+        with pytest.raises(ValueError, match="positive"):
+            VolumeSplines([0.0, 1.0], **values)
+
 
 class TestCostEstimator:
     def test_flat_spline_uniform_grid(self):

@@ -4,6 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from eulerreach.discretization import Discretization
+from eulerreach.lattice import LatticeSet
+from eulerreach.refine import VolumeSplines
 from eulerreach.systems import (
     Box,
     SystemSpec,
@@ -46,6 +49,46 @@ class TestBox:
         b = Box([0.0], [1.0])
         with pytest.raises(ValueError):
             b.lower[0] = 5.0
+
+    def test_nan_bound_rejected(self):
+        with pytest.raises(ValueError, match="lower"):
+            Box([math.nan], [0.0])
+
+
+# each record that holds arrays: its constructor, as a function of the
+# held fields, and arrays of the field types to build it from
+RECORDS = {
+    "Box": (Box, {"lower": [0.0, 1.0], "upper": [2.0, 3.0]}),
+    "Discretization": (
+        lambda **arrays: Discretization(1.0, **arrays),
+        {"h": [0.5, 0.5], "t": [0.0, 0.5, 1.0], "rho": [0.25, 0.25, 0.25]},
+    ),
+    "VolumeSplines": (
+        VolumeSplines,
+        {"nodes": [0.0, 1.0], "vR_values": [1.0, 2.0], "vF_values": [1.5, 1.0]},
+    ),
+    "LatticeSet": (
+        lambda starts, lengths: LatticeSet(1.0, runs=(starts, lengths)),
+        {"starts": [[0, 0], [1, 3]], "lengths": [2, 1]},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_records_hold_read_only_copies(name):
+    build, given = RECORDS[name]
+    # float64 and int64 arrays, of the field types, which a record could
+    # keep as given
+    arrays = {k: np.array(v) for k, v in given.items()}
+    record = build(**arrays)
+    for field_name, array in arrays.items():
+        held = getattr(record, field_name)
+        kept = held.copy()
+        assert not held.flags.writeable
+        assert not np.shares_memory(held, array)
+        assert array.flags.writeable
+        array += 1
+        assert np.array_equal(held, kept)
 
 
 class TestExponentialSystem:
