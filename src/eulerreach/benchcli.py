@@ -254,10 +254,13 @@ def _check_file_path(path: Path) -> None:
         raise ConfigError(f"artifact path {path} exists and is not a regular file")
 
 
-def _check_artifact_paths(config: ExperimentConfig) -> None:
-    """Raise ConfigError, before any solve, when a file the run writes
-    exists as something else (a directory, a dangling link), or the
-    snapshots path as something other than a directory."""
+def _checked_system(config: ExperimentConfig) -> SystemSpec:
+    """The system of a valid cell.  Raise ConfigError, before any solve,
+    when a file the run writes exists as something else (a directory, a
+    dangling link), or the snapshots path as something other than a
+    directory."""
+    config.validate()
+    system = build_system(config)
     outdir = Path(config.out)
     for name in ("config.txt", "summary.txt", "timing.txt", *ARTIFACTS[config.algorithm]):
         _check_file_path(outdir / name)
@@ -267,29 +270,25 @@ def _check_artifact_paths(config: ExperimentConfig) -> None:
             raise ConfigError(f"snapshot path {snapdir} exists and is not a directory")
         for path in snapdir.glob("step_*.txt"):
             _check_file_path(path)
+    return system
 
 
-def run_experiment(config: ExperimentConfig) -> int:
-    """Run the configured experiment and write its artifacts; returns 0.
-    Every solve runs before anything is written, so a run that fails
-    leaves its output directory as it found it, apart from creating it."""
-    config.validate()
-    system = build_system(config)
-    _check_artifact_paths(config)
-    outdir = Path(config.out)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory: {exc}") from exc
-    uniform = adaptive = None
+def _solve(config: ExperimentConfig, system: SystemSpec) -> tuple:
+    """The uniform run, the adaptive run and its trace of one cell, None
+    for what its algorithm does not run."""
+    uniform = adaptive = trace = None
     if config.algorithm in ("uniform", "compare"):
         _, uniform = algorithm_uniform(system, config.eps, cap=config.cap)
     if config.algorithm in ("adaptive", "compare"):
-        ladder = config.ladder
-        if ladder is None:
-            ladder = _default_ladder(system, config.eps)
+        ladder = config.ladder or _default_ladder(system, config.eps)
         _, adaptive, trace = algorithm_adaptive(system, ladder, cap=config.cap)
+    return uniform, adaptive, trace
 
+
+def _write_cell(config: ExperimentConfig, uniform, adaptive, trace) -> list[list]:
+    """Write the artifacts of one solved cell; returns the rows of its
+    comparison.csv, none unless it compares."""
+    outdir = Path(config.out)
     chash = config.hash()
     (outdir / "config.txt").write_text(
         "".join(f"{k} = {v}\n" for k, v in sorted(asdict(config).items()))
@@ -321,17 +320,44 @@ def run_experiment(config: ExperimentConfig) -> int:
     written = {outdir / name for name in ARTIFACTS[config.algorithm]}
     if config.snapshots:  # of the last run: adaptive when both ran
         written.update(_write_snapshots(outdir / "snapshots", adaptive or uniform))
-    if config.algorithm == "compare":
-        _write_csv(outdir / "comparison.csv", COMPARISON_HEADER, [[
-            chash, config.system, config.d, _fmt(config.L), _fmt(config.eps),
-            uniform.disc.n, uniform.cost_total,
-            adaptive.disc.n, adaptive.cost_total, cumulative,
-        ]])
+    rows = [[
+        chash, config.system, config.d, _fmt(config.L), _fmt(config.eps),
+        uniform.disc.n, uniform.cost_total,
+        adaptive.disc.n, adaptive.cost_total, cumulative,
+    ]] if config.algorithm == "compare" else []
+    if rows:
+        _write_csv(outdir / "comparison.csv", COMPARISON_HEADER, rows)
 
     (outdir / "summary.txt").write_text("\n".join(summary) + "\n")
     (outdir / "timing.txt").write_text("\n".join(timing) + "\n")
     # the directory then holds exactly what this run wrote
     _remove_stale(outdir, written)
+    return rows
+
+
+def run_experiment(*configs: ExperimentConfig, table: Path | None = None) -> int:
+    """Check, solve and then write each cell, a configured experiment;
+    with table, also write there the comparison rows of every cell.
+    Returns 0.  Every cell is checked before any solve runs and every
+    solve runs before anything is written, so a run that fails leaves
+    every file as it found it, apart from creating output directories.
+    The table's directory exists or is made with the cells' directories."""
+    systems = [_checked_system(config) for config in configs]
+    outdirs = [Path(config.out) for config in configs]
+    repeated = [out for i, out in enumerate(outdirs) if out in outdirs[:i]]
+    if repeated:
+        raise ConfigError(f"two cells would write into {repeated[0]}")
+    if table is not None:
+        _check_file_path(table)
+    try:
+        for outdir in outdirs:
+            outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
+    solved = [(config, *_solve(config, system)) for config, system in zip(configs, systems)]
+    rows = [row for cell in solved for row in _write_cell(*cell)]
+    if table is not None:
+        _write_csv(table, COMPARISON_HEADER, rows)
     return EXIT_OK
 
 
@@ -553,17 +579,7 @@ def sweep(config: ExperimentConfig, eps_list: list[float]) -> int:
         replace(config, eps=eps, algorithm="compare", out=str(base_out / f"eps_{_fmt(eps)}"))
         for eps in eps_list
     ]
-    _check_file_path(base_out / "sweep.csv")
-    for cell in cells:
-        _check_artifact_paths(cell)
-    rows = []
-    for cell in cells:
-        run_experiment(cell)
-        with (Path(cell.out) / "comparison.csv").open() as fh:
-            rows.extend(list(csv.reader(fh))[1:])
-    base_out.mkdir(parents=True, exist_ok=True)
-    _write_csv(base_out / "sweep.csv", COMPARISON_HEADER, rows)
-    return EXIT_OK
+    return run_experiment(*cells, table=base_out / "sweep.csv")
 
 
 def main(argv: list[str] | None = None) -> int:

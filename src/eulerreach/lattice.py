@@ -64,8 +64,8 @@ def lattice_range(
     ValueError before it is divided; a caller that gives ``work`` checks
     its bounds itself.
     """
-    if not rho > 0:  # also rejects nan
-        raise ValueError("rho must be positive")
+    if not 0 < rho < math.inf:  # also rejects nan
+        raise ValueError("rho must be positive and finite")
     if work is None:
         # the bounds, not their quotients, so that nothing overflows first
         if not (np.abs([lower, upper]) < REACH * rho).all():
@@ -220,8 +220,8 @@ class LatticeSet:
             raise ValueError("run starts must be a nonempty (R, d) array, d >= 1")
         if lengths.shape != starts.shape[:1] or not _runs_are_maximal(starts, lengths):
             raise ValueError("runs must be sorted, nonempty and apart")
-        if not resolution > 0:  # also rejects nan
-            raise ValueError("resolution must be positive")
+        if not 0 < resolution < math.inf:  # also rejects nan
+            raise ValueError("resolution must be positive and finite")
         # the dataclass is frozen; a Python float, as the text header prints it
         object.__setattr__(self, "resolution", float(resolution))
         object.__setattr__(self, "cardinality", int(lengths.sum()))

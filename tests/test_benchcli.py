@@ -535,12 +535,14 @@ class TestMainExitCodes:
         (["run-uniform", "--eps", "1", "--out", ""], EXIT_CONFIG),
         (["sweep", "--eps-list", "1", "--out", ""], EXIT_CONFIG),
         (["sweep", "--eps-list", "1", "--out", "{tmp}/busy"], EXIT_CONFIG),
+        (["sweep", "--eps-list", "1,1.0"], EXIT_CONFIG),
         (["emit-figure-data", "--eps", "1", "--out", "{tmp}/busy"], EXIT_CONFIG),
         (["emit-figure-data", "--eps", "1", "--out", "{tmp}/snapfile"], EXIT_CONFIG),
     ], ids=["config-dir", "config-not-utf8", "out-file", "out-below-file",
             "selftest-seed-1", "L800", "eps1e-300", "L700-eps1e300", "adaptive-L350",
             "adaptive-L400", "adaptive-L700", "adaptive-L400-ladder1",
             "artifact-dir", "out-empty", "sweep-out-empty", "sweep-csv-dir",
+            "sweep-repeated-dir",
             "snapshot-dir", "snapshots-file"])
     def test_bad_input_exits_without_traceback(self, tmp_path, argv, code):
         (tmp_path / "dir").mkdir()
@@ -626,6 +628,13 @@ class TestMainExitCodes:
         assert len(rows) == 2
         assert {r["eps"] for r in rows} == {"2", "1"}
 
+    def test_sweep_cells_sharing_a_directory_rejected(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        # 1 and 1.0 are one tolerance, so both cells would be eps_1
+        assert main(["sweep", "--eps-list", "1,1.0", "--out", str(out)]) == EXIT_CONFIG
+        assert str(out / "eps_1") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_emit_figure_data(self, tmp_path):
         out = tmp_path / "fig"
         assert main(
@@ -675,6 +684,16 @@ class TestRerunIntoOneDirectory:
         assert main(
             ["run-adaptive", "--eps", "0.0625", "--d", "3", "--cap", "1000",
              "--out", str(out)]
+        ) == EXIT_RESOURCE
+        assert _file_bytes(out) == before
+
+    def test_failed_sweep_rerun_changes_no_file(self, tmp_path):
+        out = tmp_path / "sw"
+        assert main(["sweep", "--eps-list", "2,1", "--out", str(out)]) == EXIT_OK
+        before = _file_bytes(out)
+        # with d = 3 the cell eps_2 solves and eps_1 then exits 3
+        assert main(
+            ["sweep", "--eps-list", "2,1", "--d", "3", "--cap", "1000", "--out", str(out)]
         ) == EXIT_RESOURCE
         assert _file_bytes(out) == before
 

@@ -55,6 +55,9 @@ class TestLatticeRange:
     def test_invalid_rho(self):
         with pytest.raises(ValueError):
             lattice_range(np.zeros(1), np.ones(1), 0.0)
+        # an infinite rho would divide inf by inf; the suite fails on the warning
+        with pytest.raises(ValueError, match="rho must be positive"):
+            lattice_range(np.zeros(1), np.ones(1), math.inf)
 
     def test_nan_rho_rejected(self):
         with pytest.raises(ValueError, match="rho must be positive"):
@@ -340,6 +343,9 @@ class TestLatticeSet:
             LatticeSet(0.5, np.empty((2, 0), dtype=np.int64))
         with pytest.raises(ValueError):
             LatticeSet(-1.0, np.zeros((1, 2), dtype=np.int64))
+        # its state points would multiply index 0 by inf into nan
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            LatticeSet(math.inf, [[0, 1]])
 
     def test_nan_resolution_rejected(self):
         with pytest.raises(ValueError, match="resolution"):
