@@ -211,25 +211,23 @@ def _write_trace(outdir: Path, trace: RefinementTrace) -> None:
     )
 
 
-def _write_snapshots(snapdir: Path, record: RunRecord) -> list[Path]:
-    """One step_NNNNN.txt per set of the run; returns their paths."""
+def _write_snapshots(snapdir: Path, record: RunRecord) -> None:
+    """One step_NNNNN.txt per set of the run."""
     snapdir.mkdir(parents=True, exist_ok=True)
-    paths = [snapdir / f"step_{j:05d}.txt" for j in range(len(record.sets))]
-    for path, s, t in zip(paths, record.sets, record.disc.t):
-        with path.open("w") as fh:
+    for j, (s, t) in enumerate(zip(record.sets, record.disc.t)):
+        with (snapdir / f"step_{j:05d}.txt").open("w") as fh:
             fh.write(f"# t={_fmt(t)}\n")
             s.write_text(fh)
-    return paths
 
 
-def _remove_stale(outdir: Path, written: set[Path]) -> None:
-    """Remove what an earlier run left in outdir and this run did not write:
-    artifact files and snapshot steps, regular files only, and then the
-    snapshots directory if that empties it."""
+def _remove_stale(outdir: Path) -> None:
+    """Remove what an earlier run left in outdir: artifact files and
+    snapshot steps, regular files only, and then the snapshots directory
+    if that empties it."""
     snapdir = outdir / "snapshots"
     every = {name for names in ARTIFACTS.values() for name in names}
     for path in [*(outdir / name for name in every), *snapdir.glob("step_*.txt")]:
-        if path not in written and path.is_file():
+        if path.is_file():
             path.unlink()
     try:
         snapdir.rmdir()  # only when empty
@@ -287,8 +285,11 @@ def _solve(config: ExperimentConfig, system: SystemSpec) -> tuple:
 
 def _write_cell(config: ExperimentConfig, uniform, adaptive, trace) -> list[list]:
     """Write the artifacts of one solved cell; returns the rows of its
-    comparison.csv, none unless it compares."""
+    comparison.csv, none unless it compares.  What an earlier run left in
+    the cell's directory goes first, so that it then holds exactly what
+    this run wrote."""
     outdir = Path(config.out)
+    _remove_stale(outdir)
     chash = config.hash()
     (outdir / "config.txt").write_text(
         "".join(f"{k} = {v}\n" for k, v in sorted(asdict(config).items()))
@@ -317,9 +318,8 @@ def _write_cell(config: ExperimentConfig, uniform, adaptive, trace) -> list[list
                 f"refine_s {th.time_refine:.6f}"
             )
 
-    written = {outdir / name for name in ARTIFACTS[config.algorithm]}
     if config.snapshots:  # of the last run: adaptive when both ran
-        written.update(_write_snapshots(outdir / "snapshots", adaptive or uniform))
+        _write_snapshots(outdir / "snapshots", adaptive or uniform)
     rows = [[
         chash, config.system, config.d, _fmt(config.L), _fmt(config.eps),
         uniform.disc.n, uniform.cost_total,
@@ -330,8 +330,6 @@ def _write_cell(config: ExperimentConfig, uniform, adaptive, trace) -> list[list
 
     (outdir / "summary.txt").write_text("\n".join(summary) + "\n")
     (outdir / "timing.txt").write_text("\n".join(timing) + "\n")
-    # the directory then holds exactly what this run wrote
-    _remove_stale(outdir, written)
     return rows
 
 

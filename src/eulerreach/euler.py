@@ -68,8 +68,7 @@ def project_box(b: Box, rho: float, cap: int = DEFAULT_CAP) -> LatticeSet:
     if not (b.lower.min() > -REACH * rho and b.upper.max() < REACH * rho):
         raise _out_of_reach(b.lower, b.upper, rho, 0)
     work = np.empty((3, b.dim, 1))
-    lo, hi = lattice_range(b.lower[:, None], b.upper[:, None], rho, work)
-    return _project(lo.T, hi.T, rho, cap, 0, work[2])[0]
+    return _project(b.lower[:, None], b.upper[:, None], rho, cap, 0, work)[0]
 
 
 def euler_run(
@@ -152,8 +151,7 @@ def _step(
         raise _out_of_reach(lower, upper, rho_next, step)
     # free the rhs's arrays before the union allocates its own
     del x, f_lo, f_hi
-    lo_idx, hi_idx = lattice_range(lower, upper, rho_next, w)
-    return _project(lo_idx.T, hi_idx.T, rho_next, cap, step, w[2])
+    return _project(lower, upper, rho_next, cap, step, w)
 
 
 def _out_of_reach(lower, upper, rho: float, step: int) -> ResourceCapError:
@@ -164,20 +162,24 @@ def _out_of_reach(lower, upper, rho: float, step: int) -> ResourceCapError:
 
 
 def _project(
-    lo_idx: np.ndarray,
-    hi_idx: np.ndarray,
+    lower: np.ndarray,
+    upper: np.ndarray,
     rho: float,
     cap: int,
     step: int,
-    sizes: np.ndarray,
+    work: np.ndarray,
 ) -> tuple[LatticeSet, int]:
-    """The lattice set covered by the (N, d) index boxes [lo_idx, hi_idx]
-    and their summed sizes, the cost count, counted in ``sizes``, a (d, N)
-    float64 array.  Raises ResourceCapError when that count exceeds cap or
-    reaches 2**53; the union has at most that many points."""
+    """The lattice set covering the (d, N) float boxes [lower, upper] and
+    their summed sizes, the cost count.  Computed in ``work``, a (3, d, N)
+    float64 array whose slots 1 and 2 lower and upper may be: the index
+    ranges go into slots 0 and 1 (see ``lattice_range``), the box sizes
+    into slot 2.  The caller checks that the bounds lie within REACH * rho
+    of 0.  Raises ResourceCapError when the count exceeds cap or reaches
+    2**53; the union has at most that many points."""
+    lo, hi = lattice_range(lower, upper, rho, work)
     # one row of box sizes per axis; the products run over the axes in
     # order, as a per-box product would
-    np.subtract(hi_idx.T, lo_idx.T, out=sizes)
+    sizes = np.subtract(hi, lo, out=work[2])
     sizes += 1.0
     count = sizes[0]
     for a in range(1, len(sizes)):
@@ -189,4 +191,4 @@ def _project(
     limit = min(cap, 2**53 - 1)
     if not projected <= limit:
         raise ResourceCapError(step=step, projected=projected, cap=limit)
-    return LatticeSet(rho, runs=union_of_boxes(lo_idx, hi_idx)), int(projected)
+    return LatticeSet(rho, runs=union_of_boxes(lo.T, hi.T)), int(projected)

@@ -59,7 +59,7 @@ def lattice_range(
     of shape (3, *lower.shape), allocated when not given: the quotients in
     work[1:] (lower and upper may be work[1] and work[2] themselves), each
     side's guard term in the slot below its quotient, which then receives
-    the side's index, lo in work[0] and hi in work[1], as int64.  Without
+    the side's index: lo in work[0] and hi in work[1], as int64.  Without
     ``work``, a bound of magnitude REACH * rho or more, or NaN, raises
     ValueError before it is divided; a caller that gives ``work`` checks
     its bounds itself.
@@ -72,24 +72,21 @@ def lattice_range(
             raise ValueError(f"index quotients must lie inside +-{REACH:.3e}")
         work = np.empty((3, *np.shape(lower)))
     # q -/+ BOUNDARY_GUARD * (|q| + 1) with q = (bound -/+ rho/2) / rho,
-    # one side at a time; each side's index is rounded into another slot,
-    # since a cast within one buffer would make numpy copy its input first
-    q, q_lo, q_hi = work[1:], work[1], work[2]
-    np.add(lower, -rho / 2.0, out=q_lo)
-    np.add(upper, rho / 2.0, out=q_hi)
+    # rounded inward, one side at a time: side s has its quotient in slot
+    # s + 1, its guard term and then its index in slot s.  The index goes
+    # into another slot, since a cast within one buffer would make numpy
+    # copy its input first.
+    q, idx = work[1:], work.view(np.int64)
+    np.add(lower, -rho / 2.0, out=q[0])
+    np.add(upper, rho / 2.0, out=q[1])
     q /= rho
-    idx = work.view(np.int64)
+    for s, (sign, inward) in enumerate(((-1.0, np.ceil), (1.0, np.floor))):
+        g = np.abs(q[s], out=work[s])
+        g += 1.0
+        g *= sign * BOUNDARY_GUARD
+        np.add(q[s], g, out=q[s])
+        inward(q[s], out=idx[s], casting="unsafe")
     lo, hi = idx[0], idx[1]
-    g = np.abs(q_lo, out=work[0])
-    g += 1.0
-    g *= -BOUNDARY_GUARD
-    q_lo += g
-    np.ceil(q_lo, out=lo, casting="unsafe")
-    g = np.abs(q_hi, out=work[1])
-    g += 1.0
-    g *= BOUNDARY_GUARD
-    q_hi += g
-    np.floor(q_hi, out=hi, casting="unsafe")
     if (hi < lo).any():
         raise InvariantViolation("projection produced an empty index range")
     return lo, hi
@@ -101,17 +98,21 @@ def union_of_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     lo, hi: (N, d) with hi >= lo.  Returns the covered points as maximal
     runs of consecutive indices along the last axis: an (R, d) int64 array
     of run starts, sorted, and an (R,) int64 array of run lengths.  On the
-    bounding grid of the boxes (plus one cell per axis) every box adds +1 or
-    -1 at its 2^d corners; prefix sums along each axis then give the number
-    of boxes covering each cell (the summed-area table of Crow, SIGGRAPH
-    1984), so the work follows the grid size, not the summed box sizes.  The
-    spare cell ends every row uncovered, so a run never crosses a row and
-    only the run starts are decoded.  A grid over RASTER_BUDGET cells is
-    split at the midpoint of its first axis spanning more than one index;
-    the axes before it are constant, so the halves concatenate in order,
-    and ``_merge_touching`` joins the two runs that meet at a cut of the
-    last axis.  Indices outside [-INDEX_LIMIT, INDEX_LIMIT] raise
-    ValueError.
+    bounding grid of the boxes every box adds +1 or -1 at its corners;
+    prefix sums along each axis then give the number of boxes covering each
+    cell (the summed-area table of Crow, SIGGRAPH 1984), so the work follows
+    the grid size, not the summed box sizes.  An axis that spans more than
+    one index, and the last axis always, gets a spare cell past its top for
+    the faces at hi + 1; an earlier axis that spans one index, which every
+    box shares, gets none and adds no corners.  The last axis's spare cell
+    ends every row uncovered, so a run never crosses a row and only the run
+    starts are decoded.  A grid over RASTER_BUDGET cells is split at the
+    midpoint of its first axis spanning more than one index; the axes
+    before it are constant, so the halves concatenate in order, and
+    ``_merge_touching`` joins the two runs that meet at a cut of the last
+    axis.  A grid without such an axis has two cells, so RASTER_BUDGET
+    bounds every grid in any dimension.  Indices outside [-INDEX_LIMIT,
+    INDEX_LIMIT] raise ValueError.
     """
     lo = np.asarray(lo, dtype=np.int64)
     hi = np.asarray(hi, dtype=np.int64)
@@ -125,7 +126,7 @@ def union_of_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     if not (-INDEX_LIMIT <= min(base) and max(top) <= INDEX_LIMIT):
         raise ValueError(f"index boxes must lie inside +-{INDEX_LIMIT:.3e}")
     spans = [t - b + 1 for b, t in zip(base, top)]
-    shape = [s + 1 for s in spans]
+    shape = [s + (s > 1) for s in spans[:-1]] + [spans[-1] + 1]
     size = math.prod(shape)
     wide = [a for a, s in enumerate(spans) if s > 1]
     if wide and size > RASTER_BUDGET:
@@ -146,11 +147,14 @@ def union_of_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # last axis, whose stride is 1; a corner picks one face per axis and
     # counts -1 when it picks an odd number of upper faces.  Offsets start
     # at 1: cell 0 of the flat grid is a spare that stays uncovered, so
-    # that a run's start is an edge too.
+    # that a run's start is an edge too.  An axis of one index adds 0 to
+    # every offset and has no upper face on the grid.
     even = [lo[:, -1] - (base[-1] - 1)]
     odd = [hi[:, -1] - (base[-1] - 2)]
     stride = shape[-1]
     for a in range(d - 2, -1, -1):
+        if shape[a] == 1:
+            continue
         f_lo = lo[:, a] - base[a]
         f_lo *= stride
         f_hi = hi[:, a] - (base[a] - 1)
@@ -164,8 +168,11 @@ def union_of_boxes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     grid = np.bincount(np.concatenate(even), minlength=size + 1)
     grid -= np.bincount(np.concatenate(odd), minlength=size + 1)
     del even, odd
-    cells = grid[1:].reshape(shape)
-    for a in range(d):
+    # only the axes wider than one cell need a prefix sum; the last axis
+    # has its spare cell.  A grid within RASTER_BUDGET has few such axes,
+    # where numpy allows no more than 64 axes in all.
+    cells = grid[1:].reshape([s for s in shape if s > 1])
+    for a in range(cells.ndim):
         cells.cumsum(axis=a, out=cells)
     covered = grid > 0
     del grid, cells

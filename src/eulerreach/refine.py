@@ -131,16 +131,18 @@ def delta_cost_all(
     the last summand alone survives scaled variants at the boundary
     branches k = 0 and k = n.  Strictly positive for positive inputs.
     """
-    V = splines.v_RF
     h, t, rho = disc.h, disc.t, disc.rho
     r = rho[1:]
-    # terms that two branches share: V(t_j), rho_j^d_R, (h_j / rho_{j+1})^d_F
-    v, rho_R, h_F = V(t), rho**d_R, (h / r) ** d_F
+    # V at the nodes and at the midpoints, in one evaluation (V is
+    # elementwise, so the same bits); terms that two branches share: V(t_j),
+    # rho_j^d_R, (h_j / rho_{j+1})^d_F
+    v_all = splines.v_RF(np.concatenate((t, t[1:] - h / 2.0)))
+    v, rho_R, h_F = v_all[: t.size], rho**d_R, (h / r) ** d_F
     out = np.empty(disc.n + 1)
     # scalar **, which can differ from numpy's array ** in the last bit;
     # v[0] is V(0.0), since t[0] == 0.0
     out[0] = v[0] * (4**d_R - 1) / rho[0] ** d_R * (h[0] / rho[1]) ** d_F
-    mid = V(t[1:] - h / 2.0) * (2.0 * h / r) ** d_F * (4.0 / r) ** d_R
+    mid = v_all[t.size :] * (2.0 * h / r) ** d_F * (4.0 / r) ** d_R
     out[1:] = mid + v[:-1] * (2**d_F - 1) / rho_R[:-1] * h_F
     # k = n has no next interval
     out[1:-1] += v[1:-1] * (4**d_R - 1) / rho_R[1:-1] * h_F[1:]

@@ -645,14 +645,24 @@ class TestMainExitCodes:
         assert list((out / "snapshots").glob("step_*.txt"))
 
 
-def _cli(*argv: str) -> None:
-    """Run the command line in a fresh interpreter; it must exit 0."""
+def _cli(*argv: str, timeout: float = 120) -> None:
+    """Run the command line in a fresh interpreter; it must exit 0 within
+    timeout seconds."""
     subprocess.run(
         [sys.executable, "-m", "eulerreach.benchcli", *argv],
         env={**os.environ, "PYTHONPATH": os.pathsep.join(
             os.path.abspath(p) for p in sys.path if p)},
-        capture_output=True, text=True, timeout=120, check=True,
+        capture_output=True, text=True, timeout=timeout, check=True,
     )
+
+
+@pytest.mark.parametrize("d", [40, 100])
+def test_one_point_sets_in_high_dimension(tmp_path, d):
+    # every image box is one lattice cell, which the union rasters on a grid
+    # of two cells, not 2**d; d = 100 is past numpy's limit of 64 axes
+    _cli("run-uniform", "--d", str(d), "--eps", "10", "--out", str(tmp_path), timeout=30)
+    summary = (tmp_path / "summary.txt").read_text().split("\n")
+    assert summary[1].startswith("uniform n 1 ") and summary[1].endswith(" cost 1")
 
 
 class TestRerunIntoOneDirectory:

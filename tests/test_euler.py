@@ -99,20 +99,23 @@ class TestEulerRun:
 
     def test_cap_counts_exactly_below_two_to_the_53(self):
         # one 2**27 + 1 by 2**26 box: the count reaches 2**53, past which a
-        # float64 count is no longer exact, so no cap lets it through
-        lo = np.zeros((1, 2), dtype=np.int64)
-        hi = np.array([[2**27, 2**26 - 1]])
+        # float64 count is no longer exact, so no cap lets it through; the
+        # (d, N) bounds project onto the index box [0, 2**27] x [0, 2**26 - 1]
+        lower = np.zeros((2, 1))
+        upper = np.array([[2.0**27], [2.0**26 - 1]])
         with pytest.raises(ResourceCapError) as info:
-            _project(lo, hi, 1.0, 2**62, 3, np.empty((2, 1)))
+            _project(lower, upper, 1.0, 2**62, 3, np.empty((3, 2, 1)))
         assert info.value.step == 3 and info.value.cap == 2**53 - 1
+        assert info.value.projected == (2**27 + 1) * 2**26
 
     def test_cap_admits_a_count_equal_to_it(self):
-        lo = np.zeros((2, 1), dtype=np.int64)
-        hi = np.array([[4], [2]])
-        s, cost = _project(lo, hi, 0.5, 8, 1, np.empty((1, 2)))
+        # the index boxes [0, 4] and [0, 2] on rho = 0.5: 5 + 3 points
+        lower = np.zeros((1, 2))
+        upper = np.array([[2.0, 1.0]])
+        s, cost = _project(lower, upper, 0.5, 8, 1, np.empty((3, 1, 2)))
         assert cost == 8 and s.points.ravel().tolist() == [0, 1, 2, 3, 4]
         with pytest.raises(ResourceCapError):
-            _project(lo, hi, 0.5, 7, 1, np.empty((1, 2)))
+            _project(lower, upper, 0.5, 7, 1, np.empty((3, 1, 2)))
 
     def test_michaelis_menten_runs(self):
         system = make_michaelis_menten()

@@ -237,6 +237,32 @@ class TestUnionOfBoxes:
         monkeypatch.setattr(lattice, "RASTER_BUDGET", 8)
         assert _runs_of(*union_of_boxes(lo, hi)) == want
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_budget_bounds_every_grid_in_any_dimension(self, d, monkeypatch):
+        grids = []
+        bincount = np.bincount
+
+        def recording_bincount(x, minlength=0):
+            grids.append(minlength - 1)  # less the flat grid's spare cell
+            return bincount(x, minlength=minlength)
+
+        monkeypatch.setattr(lattice, "RASTER_BUDGET", 64)
+        monkeypatch.setattr(np, "bincount", recording_bincount)
+        # a box of one cell: the grid is that cell and the last axis's spare
+        one = np.arange(d)[None, :]
+        assert _runs_of(*union_of_boxes(one, one)) == [(tuple(range(d)), 1)]
+        assert grids == [2, 2]
+        # boxes that share their index on all but at most three axes
+        rng = np.random.default_rng(d)
+        lo = np.tile(rng.integers(-9, 9, size=d), (20, 1))
+        wide = rng.choice(d, size=min(d, 3), replace=False)
+        lo[:, wide] += rng.integers(0, 6, size=(20, wide.size))
+        hi = lo.copy()
+        hi[:, wide] += rng.integers(0, 3, size=(20, wide.size))
+        grids.clear()
+        assert _runs_of(*union_of_boxes(lo, hi)) == _runs_oracle(_union_oracle(lo, hi))
+        assert max(grids) <= 64
+
     @pytest.mark.parametrize("index", [-(2**63), -(2**62) - 1, 2**62 + 1])
     def test_indices_past_the_limit_rejected(self, index):
         with pytest.raises(ValueError, match="index boxes"):
