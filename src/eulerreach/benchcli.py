@@ -19,7 +19,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,9 +78,11 @@ class ExperimentConfig:
     d_R: int | None = None
     d_F: int | None = None
     cap: int = DEFAULT_CAP
-    workers: int = 1  # no effect; kept because config.txt and the hash echo it
+    # workers and seed are fixed: no flag, file or JSON key sets them, but
+    # config.txt and the hash echo them, so pinned digests hold (ROADMAP item 6)
+    workers: int = field(default=1, init=False)
     out: str = "out"
-    seed: int = 0
+    seed: int = field(default=0, init=False)
     snapshots: bool = False
 
     def validate(self) -> None:
@@ -104,8 +106,6 @@ class ExperimentConfig:
             raise ConfigError(f"cap must lie in [{MIN_CAP}, 2**53)")
         if self.d < 1:
             raise ConfigError("d must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if not self.out:
             raise ConfigError(EMPTY_OUT)
 
@@ -471,13 +471,15 @@ def _floats(value) -> list[float]:
     return [_float(v) for v in value]
 
 
-# parser of each ExperimentConfig field, by its annotation; the same
-# parsers read key=value files, JSON on stdin and the flags
+# parser of each key, by the annotation of its ExperimentConfig field; the
+# same parsers read key=value files, JSON on stdin and the flags.  The keys
+# are the fields a run reads: the subcommand sets the algorithm
 _PARSERS = {
     "str": _str, "int": _int, "int | None": _int, "float": _float, "bool": _bool,
     "list[float] | None": _floats,
 }
-_FIELDS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)}
+_FIELDS = {f.name: _PARSERS[f.type] for f in fields(ExperimentConfig)
+           if f.init and f.name != "algorithm"}
 
 
 def _parse(key: str, value, parser):
@@ -485,12 +487,6 @@ def _parse(key: str, value, parser):
         return parser(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-
-
-def _apply_key(config: ExperimentConfig, key: str, value) -> None:
-    if key not in _FIELDS:
-        raise ConfigError(f"unknown config key {key!r}")
-    setattr(config, key, _parse(key, value, _FIELDS[key]))
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -509,7 +505,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     flags = {k: getattr(args, k, None) for k in _FIELDS}
     data.update((k, v) for k, v in flags.items() if v is not None)
     for key, value in data.items():
-        _apply_key(config, key, value)
+        if key not in _FIELDS:
+            raise ConfigError(f"unknown config key {key!r}")
+        setattr(config, key, _parse(key, value, _FIELDS[key]))
     return config
 
 
@@ -535,7 +533,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     for name, parser in _FIELDS.items():
         if parser is _bool:
             p.add_argument(f"--{name}", action="store_true", default=None)
-        elif name != "algorithm":  # each command sets its own
+        else:
             p.add_argument(f"--{name}")
 
 

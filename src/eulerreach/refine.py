@@ -179,7 +179,10 @@ def uniform_step_count(system: SystemSpec, eps: float) -> int:
     def ok(m: int) -> bool:
         return m * m * eps - m * a - b >= 0.0
 
-    root = (a + math.sqrt(a * a + 4.0 * eps * b)) / (2.0 * eps)
+    # the positive root (a + sqrt(a^2 + 4 eps b)) / (2 eps), written so
+    # that no intermediate overflows while the root itself is finite
+    c = a / 2.0 / eps
+    root = c + math.hypot(c, math.sqrt(b / eps))
     if not root <= 2**53:  # floats miscount past 2**53; inf if a or b overflowed
         raise ResourceCapError(None, root, 2**53, "uniform steps")
     n = max(1, math.ceil(root))

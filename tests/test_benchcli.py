@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -31,6 +32,10 @@ from eulerreach.refine import algorithm_adaptive
 from eulerreach.systems import make_exponential_system
 
 
+# argparse rejects the input: exit 2 after its usage line
+ARGPARSE = "argparse"
+
+
 def _artifact_digests(out: Path) -> dict[str, str]:
     got = {}
     snapshots = hashlib.sha256()
@@ -62,7 +67,6 @@ class TestConfig:
             {"ladder": []},
             {"cap": 10},
             {"d": 0},
-            {"workers": 0},
             {"eps": float("nan")},
             {"eps": float("inf")},
             {"L": float("nan")},
@@ -77,6 +81,13 @@ class TestConfig:
         config = ExperimentConfig(**patch)
         with pytest.raises(ConfigError):
             config.validate()
+
+    def test_workers_and_seed_are_fixed_but_echoed(self):
+        for name, value in (("workers", 1), ("seed", 0)):
+            with pytest.raises(TypeError):
+                ExperimentConfig(**{name: value})
+            assert dataclasses.asdict(ExperimentConfig())[name] == value
+            assert name not in benchcli._FIELDS
 
     def test_hash_stable_and_sensitive(self):
         a = ExperimentConfig()
@@ -102,6 +113,12 @@ class TestMetrics:
         assert sigma_c[-1] == pytest.approx(1.0)
 
 
+def _loaded(monkeypatch, data: dict) -> ExperimentConfig:
+    """The configuration that `--config -` reads from data as JSON."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(data)))
+    return benchcli._load_config(argparse.Namespace(config="-"))
+
+
 class TestConfigParsing:
     def test_kv_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -112,10 +129,7 @@ class TestConfigParsing:
             "eps = 0.5  # trailing comment\n"
             "ladder = 4, 2, 1\n"
         )
-        data = benchcli._parse_kv_file(cfg)
-        config = ExperimentConfig()
-        for key, value in data.items():
-            benchcli._apply_key(config, key, value)
+        config = benchcli._load_config(argparse.Namespace(config=str(cfg)))
         assert config.d == 2
         assert config.eps == 0.5
         assert config.ladder == [4.0, 2.0, 1.0]
@@ -130,13 +144,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             benchcli._parse_kv_file(cfg)
 
-    def test_unknown_key(self):
-        with pytest.raises(ConfigError):
-            benchcli._apply_key(ExperimentConfig(), "bogus", "1")
+    def test_unknown_key(self, monkeypatch):
+        with pytest.raises(ConfigError, match="unknown config key 'bogus'"):
+            _loaded(monkeypatch, {"bogus": "1"})
 
-    def test_bad_value(self):
+    def test_bad_value(self, monkeypatch):
         with pytest.raises(ConfigError):
-            benchcli._apply_key(ExperimentConfig(), "eps", "fast")
+            _loaded(monkeypatch, {"eps": "fast"})
 
     def test_stdin_json(self, tmp_path, monkeypatch):
         payload = {"system": "exponential", "d": 1, "L": 1.0, "eps": 2.0,
@@ -181,36 +195,33 @@ class TestConfigParsing:
         [(True, True), (False, False), ("true", True), ("1", True), ("yes", True),
          ("false", False), ("0", False), ("no", False)],
     )
-    def test_boolean_spellings(self, value, expected):
-        config = ExperimentConfig()
-        benchcli._apply_key(config, "snapshots", value)
-        assert config.snapshots is expected
+    def test_boolean_spellings(self, monkeypatch, value, expected):
+        assert _loaded(monkeypatch, {"snapshots": value}).snapshots is expected
 
     @pytest.mark.parametrize(
         "value, expected", [("7", 7), (7, 7), ("-3", -3), ("5e7", 50_000_000),
                             (5e7, 50_000_000), ("2.0", 2)],
     )
-    def test_integer_spellings(self, value, expected):
-        config = ExperimentConfig()
-        benchcli._apply_key(config, "cap", value)
+    def test_integer_spellings(self, monkeypatch, value, expected):
+        config = _loaded(monkeypatch, {"cap": value})
         assert type(config.cap) is int and config.cap == expected
 
     @pytest.mark.parametrize(
         "value", ["2.5", 2.5, True, "nan", "inf", float("inf"), None, [1]]
     )
-    def test_non_integers_rejected(self, value):
+    def test_non_integers_rejected(self, monkeypatch, value):
         with pytest.raises(ConfigError):
-            benchcli._apply_key(ExperimentConfig(), "d", value)
+            _loaded(monkeypatch, {"d": value})
 
     @pytest.mark.parametrize(
         "key, value", [("eps", True), ("L", False), ("ladder", [True, 0.5])]
     )
-    def test_booleans_rejected_as_floats(self, key, value):
+    def test_booleans_rejected_as_floats(self, monkeypatch, key, value):
         with pytest.raises(ConfigError):
-            benchcli._apply_key(ExperimentConfig(), key, value)
+            _loaded(monkeypatch, {key: value})
 
-    # a non-default value of every ExperimentConfig field but algorithm,
-    # which each command sets: as JSON, as a key=value line and as flags
+    # a non-default value of every config key: as JSON, as a key=value
+    # line and as flags
     SPELLINGS = {
         "system": ("michaelis_menten", "michaelis_menten", ["--system", "michaelis_menten"]),
         "d": (2, "2", ["--d", "2"]),
@@ -220,16 +231,13 @@ class TestConfigParsing:
         "d_R": (1, "1", ["--d_R", "1"]),
         "d_F": (0, "0", ["--d_F", "0"]),
         "cap": (40_000_000, "4e7", ["--cap", "40000000"]),
-        "workers": (2, "2", ["--workers", "2"]),
         "out": ("elsewhere", "elsewhere", ["--out", "elsewhere"]),
-        "seed": (3, "3", ["--seed", "3"]),
         "snapshots": (True, "yes", ["--snapshots"]),
     }
 
     @pytest.mark.parametrize("key", list(SPELLINGS))
     def test_file_json_and_flag_agree(self, tmp_path, monkeypatch, key):
-        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert set(self.SPELLINGS) == names - {"algorithm"}
+        assert set(self.SPELLINGS) == set(benchcli._FIELDS)
         monkeypatch.chdir(tmp_path)
         json_value, kv_value, flags = self.SPELLINGS[key]
         Path("run.cfg").write_text(f"{key} = {kv_value}\n")
@@ -493,6 +501,11 @@ class TestMainExitCodes:
              "--out", str(tmp_path / "o")]
         ) == EXIT_OK
 
+    def test_huge_tolerance_runs_one_step(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["run-uniform", "--eps", "1e308", "--out", str(out)]) == EXIT_OK
+        assert (out / "summary.txt").read_text().splitlines()[1].startswith("uniform n 1 ")
+
     def test_config_error(self, tmp_path):
         assert main(
             ["run-uniform", "--eps", "-1", "--out", str(tmp_path / "x")]
@@ -538,15 +551,21 @@ class TestMainExitCodes:
         (["sweep", "--eps-list", "1,1.0"], EXIT_CONFIG),
         (["emit-figure-data", "--eps", "1", "--out", "{tmp}/busy"], EXIT_CONFIG),
         (["emit-figure-data", "--eps", "1", "--out", "{tmp}/snapfile"], EXIT_CONFIG),
+        (["run-uniform", "--workers", "2"], ARGPARSE),
+        (["run-uniform", "--seed", "3"], ARGPARSE),
+        (["run-uniform", "--config", "{tmp}/compare.cfg"], EXIT_CONFIG),
+        (["run-uniform", "--config", "-"], EXIT_CONFIG),
     ], ids=["config-dir", "config-not-utf8", "out-file", "out-below-file",
             "selftest-seed-1", "L800", "eps1e-300", "L700-eps1e300", "adaptive-L350",
             "adaptive-L400", "adaptive-L700", "adaptive-L400-ladder1",
             "artifact-dir", "out-empty", "sweep-out-empty", "sweep-csv-dir",
             "sweep-repeated-dir",
-            "snapshot-dir", "snapshots-file"])
+            "snapshot-dir", "snapshots-file",
+            "workers-flag", "seed-flag", "algorithm-key", "seed-json"])
     def test_bad_input_exits_without_traceback(self, tmp_path, argv, code):
         (tmp_path / "dir").mkdir()
         (tmp_path / "latin1.cfg").write_bytes("eps = 0.5  # \xe9\n".encode("latin-1"))
+        (tmp_path / "compare.cfg").write_text("algorithm = compare\n")
         (tmp_path / "file").write_text("")
         # directories where artifacts go: config.txt, sweep.csv, a snapshot
         busy = tmp_path / "busy"
@@ -563,12 +582,15 @@ class TestMainExitCodes:
             [sys.executable, "-m", "eulerreach.benchcli", *argv],
             env={**os.environ, "PYTHONPATH": os.pathsep.join(
                 os.path.abspath(p) for p in sys.path if p)},
+            input='{"seed": 0}',  # what --config - reads
             capture_output=True, text=True, timeout=60, cwd=work,
         )
-        assert out.returncode == code
+        assert out.returncode == (EXIT_CONFIG if code == ARGPARSE else code)
         assert "Traceback" not in out.stderr
-        prefix = "config error:" if code == EXIT_CONFIG else "resource cap:"
-        assert out.stderr.startswith(prefix)
+        assert out.stderr.startswith(
+            {EXIT_CONFIG: "config error:", EXIT_RESOURCE: "resource cap:",
+             ARGPARSE: "usage:"}[code]
+        )
         assert list(work.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [

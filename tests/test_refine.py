@@ -242,6 +242,16 @@ class TestUniformSolver:
         assert record.error_bound <= 0.5
         assert disc.n == uniform_step_count(system, 0.5)
 
+    @pytest.mark.parametrize("eps", [3e307, 1e308, 1.7976931348623157e308])
+    def test_huge_tolerance_takes_one_step(self, eps):
+        # a*a + 4*eps*b overflows here, though the root is about 1
+        disc, record = algorithm_uniform(make_exponential_system(1, 1.0), eps)
+        assert disc.n == 1 and record.error_bound <= eps
+
+    def test_smallest_tolerance_over_cap(self):
+        with pytest.raises(ResourceCapError):
+            uniform_step_count(make_exponential_system(1, 1.0), 5e-324)
+
     def test_invalid_eps(self):
         with pytest.raises(ValueError):
             uniform_step_count(make_exponential_system(1, 1.0), 0.0)
