@@ -24,8 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import refine
-from .discretization import dyadic_invariants_ok, error_components, error_total
+from .discretization import error_components, error_total, initial_discretization
 from .errors import ConfigError, InvariantViolation, ResourceCapError
 from .euler import DEFAULT_CAP, RunRecord
 from .refine import (
@@ -108,6 +107,8 @@ class ExperimentConfig:
             raise ConfigError("d must be >= 1")
         if not self.out:
             raise ConfigError(EMPTY_OUT)
+        if "\0" in self.out:
+            raise ConfigError("out must not contain a NUL byte")
 
     def canonical(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -127,7 +128,7 @@ def build_system(config: ExperimentConfig) -> SystemSpec:
             d_R=system.d_R if config.d_R is None else config.d_R,
             d_F=system.d_F if config.d_F is None else config.d_F,
         )
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"cannot build system {config.system!r}: {exc}") from exc
 
 
@@ -243,7 +244,7 @@ def _default_ladder(system: SystemSpec, eps: float) -> list[float]:
     """The ladder from the error bound of the system's initial
     discretization down to eps."""
     L, P = system.lipschitz, system.bound
-    e0 = error_total(refine.initial_discretization(system.horizon, L, P), L, P)
+    e0 = error_total(initial_discretization(system.horizon, L, P), L, P)
     return default_ladder(e0, eps)
 
 
@@ -356,70 +357,6 @@ def run_experiment(*configs: ExperimentConfig, table: Path | None = None) -> int
     rows = [row for cell in solved for row in _write_cell(*cell)]
     if table is not None:
         _write_csv(table, COMPARISON_HEADER, rows)
-    return EXIT_OK
-
-
-# ---------------------------------------------------------------------------
-# selftest
-
-
-def selftest(seed: int = 0) -> int:
-    """Quick invariant suites; returns 0 or raises InvariantViolation
-    (ConfigError for a negative seed)."""
-    from .discretization import initial_discretization, subdivide
-    from .euler import project_box
-    from .lattice import hausdorff_to_box
-    from .systems import Box
-
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
-    rng = np.random.default_rng(seed)
-
-    def check(name: str, ok: bool) -> None:
-        print(f"{'PASS' if ok else 'FAIL'}: {name}")
-        if not ok:
-            raise InvariantViolation(name)
-
-    # projection error bound over random boxes
-    worst = 0.0
-    for _ in range(100):
-        d = int(rng.integers(1, 3))
-        lo = rng.uniform(-5, 5, size=d)
-        hi = lo + rng.uniform(0, 3, size=d)
-        rho = float(rng.uniform(0.05, 2.0))
-        b = Box(lo, hi)
-        worst = max(worst, hausdorff_to_box(project_box(b, rho), b) / (rho / 2))
-    check("projection within rho/2", worst <= 1.0 + 1e-12)
-
-    # closed-form deltas against recomputation on random refinement paths
-    system = make_exponential_system(1, 1.0)
-    L, P = system.lipschitz, system.bound
-    splines = VolumeSplines(np.array([0.0, 1.0]), np.array([1.0, 2.0]), np.array([1.5, 1.0]))
-    ok = True
-    for _ in range(50):
-        disc = initial_discretization(1.0, L, P)
-        for _ in range(int(rng.integers(0, 12))):
-            disc = subdivide(disc, int(rng.integers(0, disc.n + 1)))
-        e = error_total(disc, L, P)
-        c = refine.cost_estimate(disc, splines, 1, 1)
-        de = refine.delta_error_all(disc, L, P)
-        dc = refine.delta_cost_all(disc, splines, 1, 1)
-        for k in range(disc.n + 1):
-            sub = subdivide(disc, k)
-            ok &= abs(de[k] - (error_total(sub, L, P) - e)) <= 1e-10 * abs(e)
-            ok &= abs(dc[k] - (refine.cost_estimate(sub, splines, 1, 1) - c)) <= 1e-10 * abs(c)
-        if not dyadic_invariants_ok(disc):
-            ok = False
-    check("closed-form deltas match recomputation", ok)
-
-    # short adaptive run keeps structural invariants and terminates
-    ladder = _default_ladder(system, 4.0)
-    disc, record, trace = algorithm_adaptive(system, ladder)
-    errs = [it.error_after for it in trace.iterations]
-    check("adaptive error strictly decreasing",
-          all(b < a for a, b in zip(errs, errs[1:])))
-    check("adaptive dyadic invariants", dyadic_invariants_ok(disc))
-    check("adaptive meets tolerance", record.error_bound <= ladder[-1])
     return EXIT_OK
 
 
@@ -557,8 +494,6 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep")
     _add_common_flags(p)
     p.add_argument("--eps-list", required=True, help="comma-separated tolerances")
-    p = sub.add_parser("selftest")
-    p.add_argument("--seed", type=int, default=0)
     return parser
 
 
@@ -581,8 +516,6 @@ def sweep(config: ExperimentConfig, eps_list: list[float]) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        if args.command == "selftest":
-            return selftest(seed=args.seed)
         config = _load_config(args)
         if args.command == "sweep":
             return sweep(config, _parse("--eps-list", args.eps_list, _floats))

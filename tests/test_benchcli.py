@@ -531,12 +531,15 @@ class TestMainExitCodes:
         ) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("config error:")
 
+    # what --config - reads, by case
+    STDIN = {"seed-json": '{"seed": 0}', "out-nul-json": '{"out": "a\\u0000b"}'}
+
     @pytest.mark.parametrize("argv,code", [
         (["run-uniform", "--config", "{tmp}/dir"], EXIT_CONFIG),
         (["run-uniform", "--config", "{tmp}/latin1.cfg"], EXIT_CONFIG),
         (["run-uniform", "--out", "{tmp}/file"], EXIT_CONFIG),
         (["run-uniform", "--out", "{tmp}/file/o"], EXIT_CONFIG),
-        (["selftest", "--seed", "-1"], EXIT_CONFIG),
+        (["selftest"], ARGPARSE),
         (["run-uniform", "--L", "800"], EXIT_CONFIG),
         (["run-uniform", "--eps", "1e-300"], EXIT_RESOURCE),
         (["run-uniform", "--L", "700", "--eps", "1e300"], EXIT_RESOURCE),
@@ -555,17 +558,23 @@ class TestMainExitCodes:
         (["run-uniform", "--seed", "3"], ARGPARSE),
         (["run-uniform", "--config", "{tmp}/compare.cfg"], EXIT_CONFIG),
         (["run-uniform", "--config", "-"], EXIT_CONFIG),
+        (["run-uniform", "--d", "1e15"], EXIT_CONFIG),
+        (["run-uniform", "--config", "-"], EXIT_CONFIG),
+        (["run-uniform", "--config", "{tmp}/nul.cfg"], EXIT_CONFIG),
+        (["sweep", "--eps-list", "1", "--config", "{tmp}/nul.cfg"], EXIT_CONFIG),
     ], ids=["config-dir", "config-not-utf8", "out-file", "out-below-file",
-            "selftest-seed-1", "L800", "eps1e-300", "L700-eps1e300", "adaptive-L350",
+            "selftest-removed", "L800", "eps1e-300", "L700-eps1e300", "adaptive-L350",
             "adaptive-L400", "adaptive-L700", "adaptive-L400-ladder1",
             "artifact-dir", "out-empty", "sweep-out-empty", "sweep-csv-dir",
             "sweep-repeated-dir",
             "snapshot-dir", "snapshots-file",
-            "workers-flag", "seed-flag", "algorithm-key", "seed-json"])
-    def test_bad_input_exits_without_traceback(self, tmp_path, argv, code):
+            "workers-flag", "seed-flag", "algorithm-key", "seed-json",
+            "d1e15", "out-nul-json", "out-nul-file", "sweep-out-nul"])
+    def test_bad_input_exits_without_traceback(self, request, tmp_path, argv, code):
         (tmp_path / "dir").mkdir()
         (tmp_path / "latin1.cfg").write_bytes("eps = 0.5  # \xe9\n".encode("latin-1"))
         (tmp_path / "compare.cfg").write_text("algorithm = compare\n")
+        (tmp_path / "nul.cfg").write_text("out = a\0b\n")
         (tmp_path / "file").write_text("")
         # directories where artifacts go: config.txt, sweep.csv, a snapshot
         busy = tmp_path / "busy"
@@ -574,7 +583,10 @@ class TestMainExitCodes:
         (tmp_path / "snapfile").mkdir()
         (tmp_path / "snapfile" / "snapshots").write_text("")
         argv = [a.format(tmp=tmp_path) for a in argv]
-        if argv[0] != "selftest" and "--out" not in argv:
+        # a config file or stdin may name the out under test, and a command
+        # that does not exist must fail on its name, not on a flag
+        known = argv[0] in (*benchcli.COMMANDS, "sweep")
+        if known and not {"--out", "--config"} & set(argv):
             argv += ["--out", str(tmp_path / "o")]
         work = tmp_path / "work"  # the working directory, empty
         work.mkdir()
@@ -582,7 +594,7 @@ class TestMainExitCodes:
             [sys.executable, "-m", "eulerreach.benchcli", *argv],
             env={**os.environ, "PYTHONPATH": os.pathsep.join(
                 os.path.abspath(p) for p in sys.path if p)},
-            input='{"seed": 0}',  # what --config - reads
+            input=self.STDIN.get(request.node.callspec.id, ""),
             capture_output=True, text=True, timeout=60, cwd=work,
         )
         assert out.returncode == (EXIT_CONFIG if code == ARGPARSE else code)
@@ -745,17 +757,6 @@ class TestRerunIntoOneDirectory:
 
 def _file_bytes(out: Path) -> dict[Path, bytes]:
     return {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
-
-
-class TestSelftest:
-    def test_passes_and_prints(self, capsys):
-        assert benchcli.selftest(seed=0) == EXIT_OK
-        lines = capsys.readouterr().out.splitlines()
-        assert lines and all(line.startswith("PASS") for line in lines)
-
-    def test_via_main(self, capsys):
-        assert main(["selftest", "--seed", "1"]) == EXIT_OK
-        assert "PASS" in capsys.readouterr().out
 
 
 def test_import_loads_no_threads_or_scipy():

@@ -22,10 +22,11 @@ def test_quick_start_runs(tmp_path, monkeypatch):
     exec(compile(_block("## Library quick start", "python"), "README.md", "exec"), {})
 
 
-def test_command_lines_run(tmp_path, monkeypatch, capsys):
+def test_command_lines_run(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     lines = [line for line in _block("## Command line", "sh").splitlines() if line]
-    assert len(lines) == 6
+    # one example per subcommand
+    assert sorted(shlex.split(line)[1] for line in lines) == sorted([*benchcli.COMMANDS, "sweep"])
     for line in lines:
         program, *argv = shlex.split(line)
         assert program == "eulerreach"
