@@ -7,8 +7,8 @@ Every emitted table value carries the config hash so results can be
 pinned in regressions.  Deterministic artifacts never contain wall-clock
 times; timings go to a separate ``timing.txt``.
 
-Exit codes: 0 ok, 2 configuration error, 3 resource cap, 4 internal
-invariant violation.
+Exit codes: 0 ok, 2 configuration error, 3 resource cap or out of memory, 4
+internal invariant violation.
 """
 
 from __future__ import annotations
@@ -474,12 +474,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
             p.add_argument(f"--{name}")
 
 
-# the algorithm each experiment command runs, and whether it always writes
-# snapshots; sweep runs compare per eps
-COMMANDS = {
-    "run-uniform": ("uniform", False), "run-adaptive": ("adaptive", False),
-    "compare": ("compare", False), "emit-figure-data": ("compare", True),
-}
+# the algorithm each experiment command runs; sweep runs compare per eps
+COMMANDS = {"run-uniform": "uniform", "run-adaptive": "adaptive", "compare": "compare"}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -519,14 +515,16 @@ def main(argv: list[str] | None = None) -> int:
         config = _load_config(args)
         if args.command == "sweep":
             return sweep(config, _parse("--eps-list", args.eps_list, _floats))
-        config.algorithm, snapshots = COMMANDS[args.command]
-        config.snapshots |= snapshots
+        config.algorithm = COMMANDS[args.command]
         return run_experiment(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError as exc:
+        print(f"resource cap: out of memory: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -98,9 +98,9 @@ def uniform_discretization(T: float, n: int) -> Discretization:
     if n < 1:
         raise ValueError("n must be >= 1")
     h = T / n
-    rho = T * T / (n * n)
-    t = tuple(T if k == n else k * h for k in range(n + 1))
-    return Discretization(T, (h,) * n, t, (rho,) * (n + 1))
+    t = np.arange(n + 1) * h
+    t[-1] = T
+    return Discretization(T, np.full(n, h), t, np.full(n + 1, T * T / (n * n)))
 
 
 def subdivide(disc: Discretization, j: int) -> Discretization:

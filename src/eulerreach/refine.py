@@ -167,24 +167,27 @@ def check_tolerances(tolerances: list[float], name: str = "ladder") -> None:
 def uniform_step_count(system: SystemSpec, eps: float) -> int:
     """Smallest n for which the uniform grid h = T/n, rho = T^2/n^2 meets eps.
 
-    The error of that grid is available in closed form (the geometric sum
-    over the step terms collapses), so n is the least m with
-    m^2 eps - m (e^{LT}-1)(PT + T/(2L)) - T^2 (e^{LT} - 1/2) >= 0.
+    The grid meets eps when its error_total, the bound every run reports,
+    is at most eps; that alone decides.  The closed form of that error (the
+    geometric sum over the step terms collapses) only sizes the search: n
+    starts at the positive root of
+    m^2 eps - m (e^{LT}-1)(PT + T/(2L)) - T^2 (e^{LT} - 1/2) = 0,
+    which also rejects an n past 2**53 before any grid is built.
     """
     check_tolerances([eps], "eps")
     L, P, T = system.lipschitz, system.bound, system.horizon
     a = math.expm1(L * T) * (P * T + T / (2.0 * L))
     b = T * T * (math.exp(L * T) - 0.5)
-
-    def ok(m: int) -> bool:
-        return m * m * eps - m * a - b >= 0.0
-
     # the positive root (a + sqrt(a^2 + 4 eps b)) / (2 eps), written so
     # that no intermediate overflows while the root itself is finite
     c = a / 2.0 / eps
     root = c + math.hypot(c, math.sqrt(b / eps))
     if not root <= 2**53:  # floats miscount past 2**53; inf if a or b overflowed
         raise ResourceCapError(None, root, 2**53, "uniform steps")
+
+    def ok(m: int) -> bool:
+        return error_total(uniform_discretization(T, m), L, P) <= eps
+
     n = max(1, math.ceil(root))
     while not ok(n):
         n += 1

@@ -104,6 +104,13 @@ def make_exponential_system(d: int, L: float) -> SystemSpec:
     Starts from the all-ones point.  The exact reachable set at time t is
     [exp(0.9 L t), exp(L t)]^d, so the velocity bound on the reachable
     region is P = L * exp(L).
+
+    L must lie in [0, 700]; L and P below CONSTANT_FLOOR are taken as
+    that floor, so L = 0 is taken as 1e-12.  The uniform solver runs at
+    any such L.  The adaptive solver starts from rho_0 = 2*L*P*T^2, which
+    is too fine for a small L: at d = 1, eps = 0.25 and the default cap,
+    L = 1e-7 and below raise ResourceCapError at step 0 or 1, and L = 2e-7
+    runs.
     """
     if d < 1:
         raise ValueError("d must be >= 1")

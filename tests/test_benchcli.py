@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -540,6 +541,7 @@ class TestMainExitCodes:
         (["run-uniform", "--out", "{tmp}/file"], EXIT_CONFIG),
         (["run-uniform", "--out", "{tmp}/file/o"], EXIT_CONFIG),
         (["selftest"], ARGPARSE),
+        (["emit-figure-data"], ARGPARSE),
         (["run-uniform", "--L", "800"], EXIT_CONFIG),
         (["run-uniform", "--eps", "1e-300"], EXIT_RESOURCE),
         (["run-uniform", "--L", "700", "--eps", "1e300"], EXIT_RESOURCE),
@@ -547,13 +549,14 @@ class TestMainExitCodes:
         (["run-adaptive", "--L", "400"], EXIT_RESOURCE),
         (["run-adaptive", "--L", "700"], EXIT_RESOURCE),
         (["run-adaptive", "--L", "400", "--ladder", "1"], EXIT_RESOURCE),
+        (["run-adaptive", "--L", "0"], EXIT_RESOURCE),
         (["run-uniform", "--eps", "1", "--out", "{tmp}/busy"], EXIT_CONFIG),
         (["run-uniform", "--eps", "1", "--out", ""], EXIT_CONFIG),
         (["sweep", "--eps-list", "1", "--out", ""], EXIT_CONFIG),
         (["sweep", "--eps-list", "1", "--out", "{tmp}/busy"], EXIT_CONFIG),
         (["sweep", "--eps-list", "1,1.0"], EXIT_CONFIG),
-        (["emit-figure-data", "--eps", "1", "--out", "{tmp}/busy"], EXIT_CONFIG),
-        (["emit-figure-data", "--eps", "1", "--out", "{tmp}/snapfile"], EXIT_CONFIG),
+        (["compare", "--snapshots", "--eps", "1", "--out", "{tmp}/busy"], EXIT_CONFIG),
+        (["compare", "--snapshots", "--eps", "1", "--out", "{tmp}/snapfile"], EXIT_CONFIG),
         (["run-uniform", "--workers", "2"], ARGPARSE),
         (["run-uniform", "--seed", "3"], ARGPARSE),
         (["run-uniform", "--config", "{tmp}/compare.cfg"], EXIT_CONFIG),
@@ -563,8 +566,9 @@ class TestMainExitCodes:
         (["run-uniform", "--config", "{tmp}/nul.cfg"], EXIT_CONFIG),
         (["sweep", "--eps-list", "1", "--config", "{tmp}/nul.cfg"], EXIT_CONFIG),
     ], ids=["config-dir", "config-not-utf8", "out-file", "out-below-file",
-            "selftest-removed", "L800", "eps1e-300", "L700-eps1e300", "adaptive-L350",
-            "adaptive-L400", "adaptive-L700", "adaptive-L400-ladder1",
+            "selftest-removed", "emit-figure-data-removed", "L800", "eps1e-300",
+            "L700-eps1e300", "adaptive-L350", "adaptive-L400", "adaptive-L700",
+            "adaptive-L400-ladder1", "adaptive-L0",
             "artifact-dir", "out-empty", "sweep-out-empty", "sweep-csv-dir",
             "sweep-repeated-dir",
             "snapshot-dir", "snapshots-file",
@@ -609,8 +613,7 @@ class TestMainExitCodes:
         ["sweep", "--eps-list", "0.5", "--ladder", "4,2,1"],
         ["sweep", "--eps-list", "1", "--ladder", "4,2,1"],
         ["compare", "--eps", "0.25", "--ladder", "4,2,1"],
-        ["emit-figure-data", "--eps", "0.25", "--ladder", "4,2,1"],
-    ], ids=["sweep", "sweep-ending-at-eps", "compare", "emit-figure-data"])
+    ], ids=["sweep", "sweep-ending-at-eps", "compare"])
     def test_dropped_or_mismatched_ladder_rejected(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
         assert main([*argv, "--out", str(out)]) == EXIT_CONFIG
@@ -669,14 +672,32 @@ class TestMainExitCodes:
         assert str(out / "eps_1") in capsys.readouterr().err
         assert not out.exists()
 
-    def test_emit_figure_data(self, tmp_path):
+    def test_compare_with_snapshots(self, tmp_path):
         out = tmp_path / "fig"
         assert main(
-            ["emit-figure-data", "--d", "1", "--L", "1", "--eps", "2.0",
+            ["compare", "--snapshots", "--d", "1", "--L", "1", "--eps", "2.0",
              "--out", str(out)]
         ) == EXIT_OK
         assert (out / "comparison.csv").exists()
         assert list((out / "snapshots").glob("step_*.txt"))
+
+    def test_out_of_memory_exits_3(self, tmp_path):
+        # eps = 1e-9 needs n = 5.5e9 < 2**53 uniform steps, a grid of about
+        # 41 GiB; the address-space limit applies to the child alone
+        limit = 2 * 2**30
+        out = tmp_path / "o"
+        proc = subprocess.run(
+            [sys.executable, "-m", "eulerreach.benchcli", "run-uniform",
+             "--eps", "1e-9", "--out", str(out)],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+                 "PYTHONPATH": os.pathsep.join(os.path.abspath(p) for p in sys.path if p)},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == EXIT_RESOURCE
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("resource cap: out of memory:")
+        assert list(out.iterdir()) == []
 
 
 def _cli(*argv: str, timeout: float = 120) -> None:

@@ -50,6 +50,16 @@ class TestConstruction:
         disc = uniform_discretization(1.0, 7)
         assert disc.t[-1] == 1.0
 
+    @pytest.mark.parametrize("T", [1.0, 1e-3, 0.1, 1 / 3, 3.0, 1e4])
+    def test_uniform_matches_the_scalar_grid(self, T):
+        # the numpy grid has the bits of t_k = k * (T/n), t_n = T, node by node
+        for n in [*range(1, 200), 997, 2999]:
+            h = T / n
+            disc = uniform_discretization(T, n)
+            assert disc.t.tolist() == [T if k == n else k * h for k in range(n + 1)]
+            assert disc.h.tolist() == [h] * n
+            assert disc.rho.tolist() == [T * T / (n * n)] * (n + 1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             Discretization(1.0, (), (0.0,), (1.0,))

@@ -214,15 +214,27 @@ class TestDeltaCostSharing:
         assert seen == {"0", "n", "inner"}
 
 
+EXP1 = make_exponential_system(1, 1.0)
+MM = make_michaelis_menten()
+
+
 class TestUniformSolver:
-    @pytest.mark.parametrize("eps", [0.25, 0.125, 1.0, 3.0])
-    def test_step_count_minimal(self, eps):
-        system = make_exponential_system(1, 1.0)
+    @pytest.mark.parametrize("system,eps", [
+        (EXP1, 0.25), (EXP1, 0.125), (EXP1, 1.0), (EXP1, 3.0),
+        # tolerances at a grid's own bound, where the closed-form quadratic
+        # and error_total disagree in the last bit; n is 11, 3, 4 and 3
+        (EXP1, 0.5751743367547032),
+        (make_exponential_system(1, 0.5), 0.5221362132709876),
+        (MM, 4.9298711436181675),
+        (MM, 12.307934402634794),
+    ], ids=["0.25", "0.125", "1.0", "3.0", "L1-boundary", "L0.5-boundary",
+            "mm-boundary-4.93", "mm-boundary-12.3"])
+    def test_step_count_minimal(self, system, eps):
         n = uniform_step_count(system, eps)
-        L, P = system.lipschitz, system.bound
-        assert error_total(uniform_discretization(1.0, n), L, P) <= eps
+        T, L, P = system.horizon, system.lipschitz, system.bound
+        assert error_total(uniform_discretization(T, n), L, P) <= eps
         if n > 1:
-            assert error_total(uniform_discretization(1.0, n - 1), L, P) > eps
+            assert error_total(uniform_discretization(T, n - 1), L, P) > eps
 
     def test_step_count_brute_scan(self):
         system = make_exponential_system(1, 1.0)
@@ -238,9 +250,10 @@ class TestUniformSolver:
 
     def test_solver_meets_tolerance(self):
         system = make_exponential_system(1, 1.0)
-        disc, record = algorithm_uniform(system, 0.5)
-        assert record.error_bound <= 0.5
-        assert disc.n == uniform_step_count(system, 0.5)
+        for eps in (0.5, 0.5751743367547032):
+            disc, record = algorithm_uniform(system, eps)
+            assert record.error_bound <= eps
+            assert disc.n == uniform_step_count(system, eps)
 
     @pytest.mark.parametrize("eps", [3e307, 1e308, 1.7976931348623157e308])
     def test_huge_tolerance_takes_one_step(self, eps):
